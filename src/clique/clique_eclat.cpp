@@ -1,7 +1,6 @@
 #include "clique/clique_eclat.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "apriori/apriori.hpp"
 #include "apriori/candidate_gen.hpp"
@@ -41,8 +40,8 @@ MiningResult clique_eclat(const HorizontalDatabase& db,
   }
 
   // Transformation: tid-lists for the frequent pairs.
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
+  const PairIndex index(frequent_pairs);
+  const std::vector<TidList> tidlists = index.invert(all, counter);
   ++result.database_scans;
 
   // Clustering: clique-refined classes, with bookkeeping against the
@@ -70,7 +69,7 @@ MiningResult clique_eclat(const HorizontalDatabase& db,
     atoms.reserve(sub.members.size());
     for (Item member : sub.members) {
       const PairKey key = make_pair_key(sub.prefix, member);
-      atoms.push_back(Atom{{sub.prefix, member}, tidlists.at(key)});
+      atoms.push_back(Atom{{sub.prefix, member}, tidlists[index.slot(key)]});
     }
     std::vector<FrequentItemset> found;
     std::vector<std::size_t> sub_histogram;

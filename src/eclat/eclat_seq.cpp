@@ -44,8 +44,8 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
 
   // --- Transformation: vertical tid-lists for the frequent pairs (second
   // and final horizontal scan). ---
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
+  const PairIndex index(frequent_pairs);
+  std::vector<TidList> tidlists = index.invert(all, counter);
   ++result.database_scans;
 
   // --- Asynchronous phase: mine each equivalence class to completion. ---
@@ -63,7 +63,7 @@ MiningResult eclat_sequential(const HorizontalDatabase& db,
     for (Item member : eq_class.members) {
       const PairKey key = make_pair_key(eq_class.prefix, member);
       atoms.push_back(Atom{{eq_class.prefix, member},
-                           std::move(tidlists.at(key))});
+                           std::move(tidlists[index.slot(key)])});
     }
     if (config.use_diffsets) {
       compute_frequent_diffsets(atoms, config.minsup, config.kernel, arena,

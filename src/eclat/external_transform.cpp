@@ -54,15 +54,20 @@ ExternalTransformStats external_transform(
     }
     stats.peak_memory_bytes = std::max(stats.peak_memory_bytes, group_bytes);
 
-    // One horizontal pass collecting only this group's tid-lists.
-    const std::vector<PairKey> group(pairs.begin() + begin,
-                                     pairs.begin() + end);
-    std::unordered_map<PairKey, TidList> lists =
-        invert_pairs(transactions, group);
+    // One horizontal pass collecting only this group's tid-lists, each
+    // reserved to its known count.
+    const PairIndex index(
+        std::span<const PairKey>(pairs).subspan(begin, end - begin));
+    std::vector<TidList> lists(index.size());
+    for (std::size_t s = 0; s < lists.size(); ++s) {
+      lists[s].reserve(pair_counts[begin + s]);
+    }
+    index.invert(transactions, lists);
     ++stats.passes;
 
     for (std::size_t i = begin; i < end; ++i) {
-      const TidList& list = lists.at(pairs[i]);
+      // A pair listed twice filled only its first slot.
+      const TidList& list = lists[index.slot(pairs[i])];
       write_pod<std::uint64_t>(out, pairs[i]);
       write_pod<std::uint64_t>(out, list.size());
       out.write(reinterpret_cast<const char*>(list.data()),

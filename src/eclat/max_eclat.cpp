@@ -143,8 +143,8 @@ MiningResult max_eclat(const HorizontalDatabase& db,
 
   const std::vector<PairKey> frequent_pairs =
       counter.frequent_pairs(config.minsup);
-  std::unordered_map<PairKey, TidList> tidlists =
-      invert_pairs(all, frequent_pairs);
+  const PairIndex index(frequent_pairs);
+  std::vector<TidList> tidlists = index.invert(all, counter);
   const std::vector<EquivalenceClass> classes =
       partition_into_classes(frequent_pairs);
 
@@ -156,8 +156,8 @@ MiningResult max_eclat(const HorizontalDatabase& db,
     atoms.reserve(eq_class.members.size());
     for (Item member : eq_class.members) {
       const PairKey key = make_pair_key(eq_class.prefix, member);
-      atoms.push_back(
-          Atom{{eq_class.prefix, member}, std::move(tidlists.at(key))});
+      atoms.push_back(Atom{{eq_class.prefix, member},
+                           std::move(tidlists[index.slot(key)])});
     }
     if (atoms.empty()) continue;
     const Tid universe = class_universe(atoms);

@@ -10,7 +10,6 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -152,19 +151,21 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
 
   // ----- Phase 1: initialization. Per-worker local counts, then a
   // sum-merge — exact integer arithmetic, so the merged counts equal the
-  // simulator's tree reduction for any W. -----
-  std::vector<TriangleCounter> counters(W, TriangleCounter(db.num_items()));
+  // simulator's tree reduction for any W. Each worker builds its own
+  // triangle in place. -----
+  const Item n = std::max<Item>(db.num_items(), 2);
+  std::vector<std::optional<TriangleCounter>> counters(W);
   std::vector<std::vector<Count>> item_partials(W);
   parallel_region(W, [&](std::size_t w) {
     const std::span<const Transaction> local =
         par::local_partition(db, topo, w);
-    counters[w].count(local);
+    counters[w].emplace(n).count(local);
     if (config.include_singletons) {
       item_partials[w] = count_items(local, db.num_items());
     }
   });
-  TriangleCounter counter = std::move(counters[0]);
-  for (std::size_t w = 1; w < W; ++w) counter.merge(counters[w]);
+  TriangleCounter counter = std::move(*counters[0]);
+  for (std::size_t w = 1; w < W; ++w) counter.merge(*counters[w]);
   std::vector<Count> item_counts(db.num_items(), 0);
   for (const std::vector<Count>& partial : item_partials) {
     for (std::size_t i = 0; i < partial.size(); ++i) {
@@ -174,37 +175,41 @@ par::ParallelOutput ThreadBackend::mine(const HorizontalDatabase& db,
   const double t_init = wall.elapsed_seconds();
 
   // ----- Phase 2: transformation. The plan is a pure function of the
-  // merged counts; each worker inverts its block, then per-class global
-  // tid-lists are assembled (classes striped over workers; each pair
-  // belongs to exactly one class, so writers never collide and the
-  // per-block maps are only read). -----
+  // merged counts. The per-block counts give every block's exact slice of
+  // every exchanged pair's global tid-list: offsets row w is where block
+  // w's tids start, row W the list lengths. Each worker writes its block
+  // straight into its slices; blocks are ascending tid ranges, so the
+  // lists come out globally sorted (paper §6.3) with no merge. -----
   const par::MiningPlan plan =
       par::derive_plan(counter, config.minsup, W, config.schedule);
-  std::vector<std::unordered_map<PairKey, TidList>> block_lists(W);
+  const PairIndex index(plan.exchanged_pairs);
+  const std::size_t P = index.size();
+  std::vector<Count> offsets((W + 1) * P);
+  for (std::size_t s = 0; s < P; ++s) {
+    const Item a = pair_first(index.pair(s));
+    const Item b = pair_second(index.pair(s));
+    Count end = counter.get(a, b);
+    offsets[W * P + s] = end;
+    // Block 0's count went into the merge; its slice is what remains.
+    for (std::size_t w = W - 1; w >= 1; --w) {
+      end -= counters[w]->get(a, b);
+      offsets[w * P + s] = end;
+    }
+  }
+  counters.clear();
+  counters.shrink_to_fit();
+  std::vector<TidList> lists(P);
+  for (std::size_t s = 0; s < P; ++s) lists[s].resize(offsets[W * P + s]);
+  const std::span<const Count> offset_rows(offsets);
   parallel_region(W, [&](std::size_t w) {
-    block_lists[w] =
-        invert_pairs(par::local_partition(db, topo, w), plan.exchanged_pairs);
+    index.fill_block(par::local_partition(db, topo, w), lists,
+                     offset_rows.subspan(w * P, P),
+                     offset_rows.subspan((w + 1) * P, P));
   });
   std::vector<std::vector<Atom>> class_atoms(plan.classes.size());
-  parallel_region(W, [&](std::size_t w) {
-    for (std::size_t c = w; c < plan.classes.size(); c += W) {
-      const EquivalenceClass& eq_class = plan.classes[c];
-      if (eq_class.size() < 2) continue;  // no candidates (§4.1)
-      std::vector<Atom> atoms;
-      atoms.reserve(eq_class.size());
-      for (Item member : eq_class.members) {
-        const PairKey key = make_pair_key(eq_class.prefix, member);
-        TidList tids;
-        for (std::size_t b = 0; b < W; ++b) {
-          const auto it = block_lists[b].find(key);
-          if (it == block_lists[b].end()) continue;
-          tids.insert(tids.end(), it->second.begin(), it->second.end());
-        }
-        atoms.push_back(Atom{{eq_class.prefix, member}, std::move(tids)});
-      }
-      class_atoms[c] = std::move(atoms);
-    }
-  });
+  for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+    class_atoms[c] = par::take_class_atoms(plan, c, lists);
+  }
   const double t_transform = wall.elapsed_seconds();
 
   // ----- Phase 3: asynchronous. Each class runs as an isolated task into

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 #include "apriori/apriori.hpp"
 #include "apriori/candidate_gen.hpp"
@@ -46,8 +47,9 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
 
   // Host-shared state: threads of one host are one SMP node, so the
   // leader's merged tid-lists are visible to its host-mates directly.
-  // Written by the host leader before a barrier, read by host-mates after.
-  std::vector<std::unordered_map<PairKey, TidList>> host_lists(hosts);
+  // Written by the host leader before a barrier, read by host-mates after;
+  // one list per slot of the plan's exchanged pairs.
+  std::vector<std::vector<TidList>> host_lists(hosts);
 
   const std::uint64_t mc_bytes_before = cluster.channel().total_bytes();
   const std::uint64_t mc_msgs_before = cluster.channel().total_messages();
@@ -89,24 +91,29 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     MiningPlan plan = self.compute([&] {
       return derive_plan(counter, config.minsup, hosts, config.schedule);
     });
-    const auto leader_of_pair = [&](PairKey key) {
-      return plan.assignment[plan.class_of.at(key)] * slots;
-    };
+    const PairIndex index =
+        self.compute([&] { return PairIndex(plan.exchanged_pairs); });
 
     // Second scan of the host partition (leader only); every processor
     // inverts its slice of the shared image.
     if (leader) self.disk_read(host_bytes, 1);
     self.barrier();
-    std::unordered_map<PairKey, TidList> partial = self.compute(
-        [&] { return invert_pairs(my_slice, plan.exchanged_pairs); });
+    std::vector<TidList> partial = self.compute([&] {
+      std::vector<TidList> lists(index.size());
+      index.invert(my_slice, lists);
+      return lists;
+    });
 
     std::vector<mc::Blob> outgoing(total);
     self.compute([&] {
       std::vector<wire::Writer> writers(total);
-      for (PairKey key : plan.exchanged_pairs) {
-        const std::size_t owner = leader_of_pair(key);
-        writers[owner].put(key);
-        writers[owner].put_vector(partial.at(key));
+      for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+        wire::Writer& writer = writers[plan.assignment[c] * slots];
+        for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1];
+             ++s) {
+          writer.put(plan.exchanged_pairs[s]);
+          writer.put_vector(partial[s]);
+        }
       }
       for (std::size_t dst = 0; dst < total; ++dst) {
         outgoing[dst] = writers[dst].take();
@@ -117,23 +124,32 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
     // Leaders merge (source processors are in tid order, so concatenation
     // is sorted) and write the host's vertical partition once.
     if (leader) {
-      std::unordered_map<PairKey, TidList>& merged = host_lists[host];
+      std::vector<TidList>& merged = host_lists[host];
       std::size_t vertical_bytes = 0;
       self.compute([&] {
-        merged.clear();
+        merged.assign(index.size(), TidList{});
         for (std::size_t src = 0; src < total; ++src) {
           wire::Reader reader(incoming[src]);
           while (!reader.done()) {
-            const auto key = reader.get<PairKey>();
+            const std::uint32_t slot = index.slot(reader.get<PairKey>());
+            if (slot == PairIndex::kNoSlot) {
+              throw std::runtime_error(
+                  "exchange section for a pair outside the plan from "
+                  "processor " + std::to_string(src));
+            }
             const std::vector<Tid> tids = reader.get_vector<Tid>();
-            TidList& list = merged[key];
-            list.insert(list.end(), tids.begin(), tids.end());
+            merged[slot].insert(merged[slot].end(), tids.begin(), tids.end());
           }
         }
-        // eclat-lint: allow(det-unordered-iter) order-insensitive fold: sums bytes and checks invariants; nothing escapes in hash order
-        for (const auto& [key, list] : merged) {
-          ECLAT_DCHECK(is_valid_tidlist(list));
-          vertical_bytes += sizeof(PairKey) + list.size() * sizeof(Tid);
+        // Every processor sent a section for each pair of this host's
+        // classes.
+        for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+          if (plan.assignment[c] != host) continue;
+          for (std::size_t s = plan.slot_begin[c];
+               s < plan.slot_begin[c + 1]; ++s) {
+            ECLAT_DCHECK(is_valid_tidlist(merged[s]));
+            vertical_bytes += sizeof(PairKey) + merged[s].size() * sizeof(Tid);
+          }
         }
       });
       self.disk_write(vertical_bytes, 1);
@@ -160,10 +176,12 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
           make_schedule(host_classes, slots, config.schedule, counter);
       for (std::size_t i = 0; i < host_classes.size(); ++i) {
         if (slot_of_class[i] != slot) continue;
-        my_class_ids.push_back(host_class_ids[i]);
-        for (PairKey key : host_classes[i].pair_keys()) {
-          my_bytes += sizeof(PairKey) +
-                      host_lists[host].at(key).size() * sizeof(Tid);
+        const std::size_t c = host_class_ids[i];
+        my_class_ids.push_back(c);
+        for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1];
+             ++s) {
+          my_bytes +=
+              sizeof(PairKey) + host_lists[host][s].size() * sizeof(Tid);
         }
       }
     });
@@ -174,13 +192,13 @@ ParallelOutput hybrid_eclat(mc::Cluster& cluster,
       std::vector<std::size_t> histogram;
       TidArena arena;  // per-processor scratch, reused across its classes
       for (std::size_t c : my_class_ids) {
-        const EquivalenceClass& eq_class = plan.classes[c];
         std::vector<Atom> atoms;
-        atoms.reserve(eq_class.size());
-        for (Item member : eq_class.members) {
-          const PairKey key = make_pair_key(eq_class.prefix, member);
-          atoms.push_back(
-              Atom{{eq_class.prefix, member}, host_lists[host].at(key)});
+        atoms.reserve(plan.slot_begin[c + 1] - plan.slot_begin[c]);
+        for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1];
+             ++s) {
+          const PairKey key = plan.exchanged_pairs[s];
+          atoms.push_back(Atom{{pair_first(key), pair_second(key)},
+                               host_lists[host][s]});
         }
         compute_frequent(atoms, config.minsup, config.kernel, arena, found,
                          histogram);

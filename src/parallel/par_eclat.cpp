@@ -242,11 +242,19 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     MiningPlan plan = self.compute([&] {
       return derive_plan(counter, config.minsup, total, config.schedule);
     });
+    const PairIndex index =
+        self.compute([&] { return PairIndex(plan.exchanged_pairs); });
 
-    // Second local scan: partial tid-lists for every exchanged 2-itemset.
+    // Second local scan: partial tid-lists for every exchanged 2-itemset,
+    // one per slot of the index.
     self.disk_read(local_bytes);
-    std::unordered_map<PairKey, TidList> partial = self.compute(
-        [&] { return invert_pairs(local, plan.exchanged_pairs); });
+    const auto invert = [&](std::span<const Transaction> part) {
+      std::vector<TidList> lists(index.size());
+      index.invert(part, lists);
+      return lists;
+    };
+    std::vector<TidList> partial =
+        self.compute([&] { return invert(local); });
 
     // The tid-list exchange, structured as a redo-until-committed loop so
     // crashes at any point inside it stay recoverable:
@@ -263,7 +271,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     //      committed; otherwise someone died mid-round — redo. Each redo
     //      loses at least one processor, so at most T rounds run, and the
     //      fault-free path is exactly one round plus one cheap barrier.
-    std::unordered_map<PairKey, TidList> my_lists;
+    std::vector<TidList> my_lists;
     std::vector<std::size_t> class_owner;
     std::size_t vertical_bytes = 0;
     std::vector<bool> commit_failed;
@@ -308,15 +316,13 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       for (std::size_t q = 0; q < total; ++q) {
         partition_source[q] = failed[q] ? alive[next++ % alive.size()] : q;
       }
-      std::unordered_map<std::size_t, std::unordered_map<PairKey, TidList>>
-          repaired;
+      std::vector<std::vector<TidList>> repaired(total);
       for (std::size_t q = 0; q < total; ++q) {
         if (!failed[q] || partition_source[q] != me) continue;
         const std::span<const Transaction> part =
             local_partition(db, topology, q);
         self.disk_read(partition_bytes(part), 1);
-        repaired[q] =
-            self.compute([&] { return invert_pairs(part, plan.exchanged_pairs); });
+        repaired[q] = self.compute([&] { return invert(part); });
         self.mark("partition-repair", q);
       }
 
@@ -329,12 +335,15 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           const bool mine_own = q == me;
           const bool mine_repaired = failed[q] && partition_source[q] == me;
           if (!mine_own && !mine_repaired) continue;
-          const auto& lists = mine_own ? partial : repaired.at(q);
-          for (PairKey key : plan.exchanged_pairs) {
-            const std::size_t owner = class_owner[plan.class_of.at(key)];
-            writers[owner].put<std::uint64_t>(q);
-            writers[owner].put(key);
-            writers[owner].put_vector(lists.at(key));
+          const std::vector<TidList>& lists = mine_own ? partial : repaired[q];
+          for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+            wire::Writer& writer = writers[class_owner[c]];
+            for (std::size_t s = plan.slot_begin[c];
+                 s < plan.slot_begin[c + 1]; ++s) {
+              writer.put<std::uint64_t>(q);
+              writer.put(plan.exchanged_pairs[s]);
+              writer.put_vector(lists[s]);
+            }
           }
         }
         for (std::size_t dst = 0; dst < total; ++dst) {
@@ -351,12 +360,12 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       // merge sections per pair in ascending partition order: the database
       // is block-partitioned, so that concatenation is the globally sorted
       // tid-list (paper §6.3).
-      my_lists.clear();
+      my_lists.assign(index.size(), TidList{});
       vertical_bytes = 0;
       self.compute([&] {
-        std::unordered_map<PairKey,
-                           std::vector<std::pair<std::uint64_t, TidList>>>
-            sections;
+        // Sections per slot, tagged with their source partition.
+        std::vector<std::vector<std::pair<std::uint64_t, TidList>>> sections(
+            index.size());
         for (std::size_t src = 0; src < total; ++src) {
           if (a2a_failed[src]) continue;
           const mc::Blob blob = open_exchange_payload(
@@ -370,16 +379,23 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
           while (!reader.done()) {
             const auto partition = reader.get<std::uint64_t>();
             const auto key = reader.get<PairKey>();
-            sections[key].emplace_back(partition, reader.get_vector<Tid>());
+            const std::uint32_t slot = index.slot(key);
+            if (slot == PairIndex::kNoSlot) {
+              throw std::runtime_error(
+                  "exchange section for a pair outside the plan from "
+                  "processor " + std::to_string(src));
+            }
+            sections[slot].emplace_back(partition, reader.get_vector<Tid>());
           }
         }
-        // eclat-lint: allow(det-unordered-iter) order-insensitive fold into the keyed my_lists; emission order comes from pair_keys()
-        for (auto& [key, parts] : sections) {
+        for (std::size_t s = 0; s < sections.size(); ++s) {
+          auto& parts = sections[s];
+          if (parts.empty()) continue;
           std::sort(parts.begin(), parts.end(),
                     [](const auto& a, const auto& b) {
                       return a.first < b.first;
                     });
-          TidList& list = my_lists[key];
+          TidList& list = my_lists[s];
           for (auto& [partition, tids] : parts) {
             list.insert(list.end(), tids.begin(), tids.end());
           }
@@ -400,9 +416,10 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
         for (std::size_t c = 0; c < plan.classes.size(); ++c) {
           if (plan.classes[c].size() < 2 || class_owner[c] != me) continue;
           wire::Writer image;
-          for (PairKey key : plan.classes[c].pair_keys()) {
-            image.put(key);
-            image.put_vector(my_lists.at(key));
+          for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1];
+               ++s) {
+            image.put(plan.exchanged_pairs[s]);
+            image.put_vector(my_lists[s]);
           }
           mc::Blob sealed = wire::seal_frame(image.take());
           image_bytes += sealed.size();
@@ -524,9 +541,9 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     for (std::size_t c = 0; c < plan.classes.size(); ++c) {
       if (plan.classes[c].size() < 2 || class_owner[c] != me) continue;
       my_classes.push_back(c);
-      for (PairKey key : plan.classes[c].pair_keys()) {
-        class_bytes[c] +=
-            sizeof(PairKey) + my_lists.at(key).size() * sizeof(Tid);
+      for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1];
+           ++s) {
+        class_bytes[c] += sizeof(PairKey) + my_lists[s].size() * sizeof(Tid);
       }
     }
     // Acquire a progress lease on every owned class up front, at the
@@ -581,7 +598,6 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
     // Speculative and recovery image reads (mine_class_image) always seek.
     bool need_seek = true;
     for (const std::size_t c : my_classes) {
-      const EquivalenceClass& eq_class = plan.classes[c];
       if (speculate) {
         // Dynamic migration: a backup committed this class while we were
         // behind — drop it, together with its pending disk read. Claims
@@ -603,7 +619,7 @@ ParallelOutput par_eclat(mc::Cluster& cluster, const HorizontalDatabase& db,
       }
       std::vector<FrequentItemset> class_found;
       self.compute([&] {
-        const std::vector<Atom> atoms = take_class_atoms(eq_class, my_lists);
+        const std::vector<Atom> atoms = take_class_atoms(plan, c, my_lists);
         compute_frequent(atoms, config.minsup, config.kernel, arena,
                          class_found, histogram);
       });

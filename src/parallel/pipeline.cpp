@@ -32,16 +32,30 @@ MiningPlan derive_plan(const TriangleCounter& counter, Count minsup,
   plan.frequent_pairs = counter.frequent_pairs(minsup);
   plan.classes = partition_into_classes(plan.frequent_pairs);
   plan.assignment = make_schedule(plan.classes, bins, heuristic, counter);
+  plan.slot_begin.reserve(plan.classes.size() + 1);
   for (std::size_t c = 0; c < plan.classes.size(); ++c) {
+    plan.slot_begin.push_back(plan.exchanged_pairs.size());
     // Singleton classes generate no candidates (§4.1) — their 2-itemsets
     // are already globally counted, so no tid-lists move.
     if (plan.classes[c].size() < 2) continue;
     for (PairKey key : plan.classes[c].pair_keys()) {
-      plan.class_of.emplace(key, c);
       plan.exchanged_pairs.push_back(key);
     }
   }
+  plan.slot_begin.push_back(plan.exchanged_pairs.size());
   return plan;
+}
+
+std::vector<Atom> take_class_atoms(const MiningPlan& plan, std::size_t c,
+                                   std::span<TidList> lists) {
+  std::vector<Atom> atoms;
+  atoms.reserve(plan.slot_begin[c + 1] - plan.slot_begin[c]);
+  for (std::size_t s = plan.slot_begin[c]; s < plan.slot_begin[c + 1]; ++s) {
+    const PairKey key = plan.exchanged_pairs[s];
+    atoms.push_back(Atom{{pair_first(key), pair_second(key)},
+                         std::move(lists[s])});
+  }
+  return atoms;
 }
 
 std::vector<Atom> take_class_atoms(
@@ -61,20 +75,19 @@ std::vector<Atom> rebuild_class_atoms(
     const EquivalenceClass& eq_class,
     std::span<const std::span<const Transaction>> partitions) {
   const std::vector<PairKey> keys = eq_class.pair_keys();
-  std::unordered_map<PairKey, TidList> lists;
+  const PairIndex index(keys);
+  std::vector<TidList> lists(keys.size());
   for (const std::span<const Transaction> partition : partitions) {
-    std::unordered_map<PairKey, TidList> partial =
-        invert_pairs(partition, keys);
-    for (const PairKey key : keys) {
-      TidList& list = lists[key];
-      const TidList& section = partial.at(key);
-      list.insert(list.end(), section.begin(), section.end());
-    }
+    index.invert(partition, lists);
   }
-  for (const PairKey key : keys) {
-    ECLAT_DCHECK(is_valid_tidlist(lists.at(key)));
+  std::vector<Atom> atoms;
+  atoms.reserve(keys.size());
+  for (std::size_t s = 0; s < keys.size(); ++s) {
+    ECLAT_DCHECK(is_valid_tidlist(lists[s]));
+    atoms.push_back(Atom{{pair_first(keys[s]), pair_second(keys[s])},
+                         std::move(lists[s])});
   }
-  return take_class_atoms(eq_class, lists);
+  return atoms;
 }
 
 void append_singletons(MiningResult& result,

@@ -56,11 +56,15 @@ struct MiningPlan {
   /// backend, host for hybrid_eclat).
   std::vector<std::size_t> assignment;
   /// Pairs belonging to classes of size >= 2 — the tid-lists that move in
-  /// the vertical exchange. Singleton classes generate no candidates
-  /// (§4.1), so their lists never materialize.
+  /// the vertical exchange — class by class in ascending class id, each
+  /// class's pairs in pair_keys() order. Singleton classes generate no
+  /// candidates (§4.1), so their lists never materialize. A PairIndex
+  /// built over this list gives each exchanged pair its slot.
   std::vector<PairKey> exchanged_pairs;
-  /// Class id owning each exchanged pair.
-  std::unordered_map<PairKey, std::size_t> class_of;
+  /// Class c owns the contiguous slots [slot_begin[c], slot_begin[c + 1])
+  /// of exchanged_pairs (empty for a singleton class); classes.size() + 1
+  /// entries.
+  std::vector<std::size_t> slot_begin;
 };
 
 /// Derive the plan from the reduced global pair counts. Pure: identical
@@ -68,9 +72,13 @@ struct MiningPlan {
 MiningPlan derive_plan(const TriangleCounter& counter, Count minsup,
                        std::size_t bins, ScheduleHeuristic heuristic);
 
-/// Build the atoms of one equivalence class by *moving* the class's
-/// global tid-lists out of `lists` (keyed by pair). The atoms come out
+/// Build the atoms of class `c` by *moving* its global tid-lists out of
+/// `lists`, the per-slot lists of plan.exchanged_pairs. The atoms come out
 /// sorted lexicographically, the order Compute_Frequent requires.
+std::vector<Atom> take_class_atoms(const MiningPlan& plan, std::size_t c,
+                                   std::span<TidList> lists);
+
+/// The same from lists keyed by pair (as invert_pairs returns them).
 std::vector<Atom> take_class_atoms(
     const EquivalenceClass& eq_class,
     std::unordered_map<PairKey, TidList>& lists);

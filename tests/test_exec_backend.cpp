@@ -133,6 +133,31 @@ TEST(ExecBackend, StealHeavySkewStaysIdentical) {
   EXPECT_EQ(result_to_bytes(pinned.result), reference);
 }
 
+TEST(ExecBackend, TinyItemUniversesMatchSequentialEclat) {
+  // Fewer than two distinct items: no pair exists, but the L2 triangle
+  // still needs its two-item floor on every backend.
+  const std::vector<HorizontalDatabase> dbs = {
+      HorizontalDatabase({}, 0),
+      HorizontalDatabase({{0, {}}, {1, {}}, {2, {}}}, 0),
+      HorizontalDatabase({{0, {0}}, {1, {0}}, {2, {0}}, {3, {0}}}, 1),
+      HorizontalDatabase({{0, {0}}, {1, {}}, {2, {0}}, {3, {}}}, 1),
+  };
+  for (std::size_t d = 0; d < dbs.size(); ++d) {
+    EclatConfig seq_config;
+    seq_config.minsup = 2;
+    const std::vector<std::uint8_t> oracle =
+        result_to_bytes(eclat_sequential(dbs[d], seq_config));
+    par::ParEclatConfig config;
+    config.minsup = 2;
+    for (std::size_t threads : {1u, 2u, 3u, 4u}) {
+      const par::ParallelOutput run = run_threads(
+          dbs[d], config, threads, exec::ClassScheduler::kWorkStealing);
+      EXPECT_EQ(result_to_bytes(run.result), oracle)
+          << "db " << d << " threads=" << threads;
+    }
+  }
+}
+
 TEST(ExecBackend, PhaseAccountingAndRunReport) {
   const HorizontalDatabase db = small_quest_db();
   par::ParEclatConfig config;
