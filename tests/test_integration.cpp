@@ -14,9 +14,12 @@ namespace {
 
 using testutil::same_itemsets;
 
+// Every field is 64 bits wide, so the struct has no padding. gtest names
+// each case after the param's raw bytes, and padding bytes would carry
+// whatever the stack held, making the names differ from build to build.
 struct CrossParam {
   std::size_t transactions;
-  Item items;
+  std::uint64_t items;
   std::uint64_t seed;
   Count minsup;
 };
@@ -26,7 +29,8 @@ class AllAlgorithmsAgree : public ::testing::TestWithParam<CrossParam> {};
 TEST_P(AllAlgorithmsAgree, OnGeneratedDatabases) {
   const CrossParam param = GetParam();
   const HorizontalDatabase db =
-      testutil::small_quest_db(param.transactions, param.items, param.seed);
+      testutil::small_quest_db(param.transactions,
+                               static_cast<Item>(param.items), param.seed);
 
   AprioriConfig apriori_config;
   apriori_config.minsup = param.minsup;
