@@ -9,8 +9,12 @@
 // modeled cost is linear in bytes.
 #pragma once
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -64,6 +68,18 @@ inline std::vector<mc::Topology> paper_topologies() {
       {2, 1}, {2, 2}, {4, 1}, {2, 4}, {4, 2},
       {8, 1}, {4, 4}, {8, 2}, {8, 4},  // up to T = 32
   };
+}
+
+/// Cores this process may run on: the CPU affinity mask, falling back to
+/// the hardware concurrency. A wall-clock number taken with more threads
+/// than this is unmeasurable — the workers are time-sliced, not parallel.
+inline std::size_t usable_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::size_t>(CPU_COUNT(&set));
 }
 
 inline void print_rule(char fill = '-', int width = 78) {

@@ -92,11 +92,6 @@ struct ThreadBackendOptions {
   std::size_t mem_budget = 0;
   /// Deterministic class-attempt fault schedule (empty = fault-free).
   ExecFaultPlan faults;
-  /// Per-class task isolation + watchdog + validation layer. Disabling
-  /// it restores the bare direct-call asynchronous phase (the overhead
-  /// baseline bench_exec_faults measures against); a non-empty fault
-  /// plan then has nothing to hook into and is rejected.
-  bool isolation = true;
 };
 
 /// Construct a backend. The mc flavour mines on a fresh Cluster of the

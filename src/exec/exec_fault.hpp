@@ -22,12 +22,12 @@
 //     so the corruption is detected, the partial is discarded, and the
 //     attempt counts as a failure. Exercises the output-validation path.
 //   - kStall: the task parks at the first cooperative MiningGuard
-//     checkpoint inside the recursion and stops progressing until the
-//     monotonic-progress watchdog cancels its lease and re-enqueues the
-//     class. Exercises cancellation + first-writer-wins commits. A
-//     class that never reaches a checkpoint (no atoms to mine) is
-//     immune — the event is a harmless no-op there, like an mc fault
-//     site the pipeline never visits.
+//     checkpoint inside the recursion and stops progressing until a
+//     watchdog scan wins the lease's kParked -> kReclaimed CAS, cancels
+//     the lease and re-enqueues the class. Exercises cancellation +
+//     first-writer-wins commits. A class that never reaches a checkpoint
+//     (no atoms to mine) is immune — the event is a harmless no-op
+//     there, like an mc fault site the pipeline never visits.
 //
 // An event targets either an explicit class id or, for generated chaos
 // schedules that cannot know the class count up front, a seeded hash
@@ -163,8 +163,6 @@ class ExecFaultInjector {
   void corrupt_result(std::size_t class_id, std::uint32_t attempt,
                       Count minsup,
                       std::vector<FrequentItemset>& result) const;
-
-  bool empty() const { return plan_.empty(); }
 
  private:
   bool matches(const ExecFaultEvent& event, std::size_t event_index,

@@ -1,11 +1,8 @@
-// Monotonic-progress board for the thread backend's watchdog.
+// Lease board for the thread backend's stall watchdog.
 //
 // Every worker owns one lease slot describing the class attempt it is
-// executing. A global progress counter is bumped whenever any attempt
-// ends (commit, failure, or cancellation) and whenever a lease is
-// reclaimed — so "the counter stopped moving while leases are parked"
-// is the deterministic signal that every remaining attempt is stalled
-// and the watchdog must intervene.
+// executing. No clock or counter enters the watchdog's decision: a
+// lease is reclaimed exactly when a scanner's CAS wins it (below).
 //
 // The lease lifecycle is a single atomic state machine:
 //
@@ -55,12 +52,6 @@ class ProgressBoard {
 
   explicit ProgressBoard(std::size_t workers) : leases_(workers) {}
 
-  std::size_t workers() const { return leases_.size(); }
-
-  std::uint64_t progress() const {
-    return progress_.load(std::memory_order_acquire);
-  }
-
   CancelToken& token(std::size_t w) { return leases_[w].token; }
 
   /// Owner side: claim the lease for one class attempt.
@@ -72,10 +63,9 @@ class ProgressBoard {
     lease.state.store(LeaseState::kRunning, std::memory_order_release);
   }
 
-  /// Owner side: the attempt ended (any outcome). Bumps progress.
+  /// Owner side: the attempt ended (any outcome).
   void end(std::size_t w) {
     leases_[w].state.store(LeaseState::kIdle, std::memory_order_release);
-    progress_.fetch_add(1, std::memory_order_acq_rel);
   }
 
   /// Owner side: expose the lease to the watchdog (injected stall).
@@ -88,10 +78,9 @@ class ProgressBoard {
   /// `reclaim(class_id, attempt)` runs *before* the owner's token is
   /// cancelled, so the replacement attempt is accounted and enqueued
   /// before the parked owner can unwind and decrement the outstanding
-  /// count. Returns the number of leases reclaimed.
+  /// count.
   template <typename Reclaim>
-  std::size_t scan_and_reclaim(std::size_t self, Reclaim&& reclaim) {
-    std::size_t reclaimed = 0;
+  void scan_and_reclaim(std::size_t self, Reclaim&& reclaim) {
     for (std::size_t v = 0; v < leases_.size(); ++v) {
       if (v == self) continue;
       Lease& lease = leases_[v];
@@ -104,15 +93,11 @@ class ProgressBoard {
       reclaim(lease.class_id.load(std::memory_order_relaxed),
               lease.attempt.load(std::memory_order_relaxed));
       lease.token.cancel();
-      progress_.fetch_add(1, std::memory_order_acq_rel);
-      ++reclaimed;
     }
-    return reclaimed;
   }
 
  private:
   std::vector<Lease> leases_;
-  std::atomic<std::uint64_t> progress_{0};
 };
 
 }  // namespace eclat::exec

@@ -5,28 +5,27 @@
 //   1. Initialization — each worker counts items and pairs over its block
 //      of the same T-way partition the simulator uses
 //      (par::local_partition), then the partial counters are sum-merged.
-//   2. Transformation — every worker derives the identical MiningPlan
-//      from the merged counts (pure function); each worker inverts its
-//      block into partial tid-lists; per-class global tid-lists are the
-//      partials concatenated in block order, which keeps them globally
-//      sorted (paper §6.3) — built in parallel, classes striped over
-//      workers.
+//   2. Transformation — the MiningPlan is derived once from the merged
+//      counts (pure function). The per-block counts give each block's
+//      exact offset into every exchanged pair's global tid-list, so each
+//      worker writes its block straight into its slices
+//      (PairIndex::fill_block); blocks are ascending tid ranges, so the
+//      lists come out globally sorted (paper §6.3) with no merge.
 //   3. Asynchronous — each class runs as an isolated task with
 //      compute_frequent over a per-worker TidArena. Placement is either
 //      the paper's static greedy schedule, or work-stealing: deques are
 //      seeded with the static assignment in ascending-weight order, the
 //      owner pops LIFO (heaviest first, hottest lists), idle workers
 //      steal FIFO from the victim with the most remaining weight.
-//      Under isolation (the default) every attempt runs inside
-//      capture_class_failure: an exception fails only that class, which
-//      is retried with backoff-in-attempts up to --exec-max-retries and
-//      quarantined past that; a cooperative MiningGuard checkpoint
-//      drives a stall watchdog (injected stalls only — honest long
-//      classes never park) and the per-worker arena memory budget;
-//      every mined slot is contract-validated and committed
-//      first-writer-wins. The fault schedule, retry sequence, and
-//      quarantine outcome are pure functions of (plan, seed, class id,
-//      attempt index) — DESIGN.md §11.
+//      Every attempt runs inside capture_class_failure: an exception
+//      fails only that class, which is retried with backoff-in-attempts
+//      up to --exec-max-retries and quarantined past that; a cooperative
+//      MiningGuard checkpoint drives a stall watchdog (injected stalls
+//      only — honest long classes never park) and the per-worker arena
+//      memory budget; every mined slot is contract-validated and
+//      committed first-writer-wins. The fault schedule, retry sequence,
+//      and quarantine outcome are pure functions of (plan, seed, class
+//      id, attempt index) — DESIGN.md §11.
 //   4. Final reduction — results are committed into per-class slots and
 //      assembled on the main thread in ascending class id, then
 //      normalized; output is therefore byte-identical to the sequential
@@ -51,8 +50,7 @@ class ThreadBackend final : public Backend {
         scheduler_(options.scheduler),
         max_retries_(options.max_retries),
         mem_budget_(options.mem_budget),
-        faults_(options.faults),
-        isolation_(options.isolation) {}
+        faults_(options.faults) {}
 
   std::string_view name() const override { return "threads"; }
   /// Resolved worker count (--exec-threads=0 -> hardware concurrency).
@@ -61,9 +59,7 @@ class ThreadBackend final : public Backend {
 
   /// total_seconds and wall_seconds are both host wall-clock here;
   /// phase_seconds carries the usual four phase labels. Throws
-  /// ExecClassQuarantined when a class exhausts its retry budget, and
-  /// std::invalid_argument for a non-empty fault plan with isolation
-  /// disabled (the bare path has no injection hooks).
+  /// ExecClassQuarantined when a class exhausts its retry budget.
   par::ParallelOutput mine(const HorizontalDatabase& db,
                            const par::ParEclatConfig& config) override;
 
@@ -73,7 +69,6 @@ class ThreadBackend final : public Backend {
   std::uint32_t max_retries_;
   std::size_t mem_budget_;
   ExecFaultPlan faults_;
-  bool isolation_;
 };
 
 }  // namespace eclat::exec

@@ -62,14 +62,14 @@ struct ParallelOutput {
   std::uint64_t lineage_rebuilds = 0;
 
   // --- Thread-backend fault-tolerance accounting (zero under the mc
-  // backend and under --exec-isolation=off). ---
+  // backend). ---
   /// Class attempts that failed (injected throws, corrupt-result
   /// detections, memory-budget trips, watchdog reclaims).
   std::uint64_t exec_task_failures = 0;
   /// Failed attempts re-enqueued by the retry path (excludes watchdog
   /// re-enqueues, which are counted in exec_stall_reclaims).
   std::uint64_t exec_task_retries = 0;
-  /// Parked leases reclaimed by the monotonic-progress watchdog.
+  /// Parked leases reclaimed by the stall watchdog.
   std::uint64_t exec_stall_reclaims = 0;
   /// Live tid-sets demoted to the chunked representation by the arena
   /// memory-budget relief pass.

@@ -131,6 +131,24 @@ TEST(ExecBackend, StealHeavySkewStaysIdentical) {
       run_threads(db, config, 4, exec::ClassScheduler::kStatic);
   EXPECT_EQ(result_to_bytes(stolen.result), reference);
   EXPECT_EQ(result_to_bytes(pinned.result), reference);
+
+  // Every class throws on attempt 0, owned or stolen: each throwing task
+  // must still retire its unit so the peers join, and its retry restores
+  // the byte-identical result.
+  exec::ThreadBackendOptions throwing;
+  throwing.threads = 4;
+  throwing.scheduler = exec::ClassScheduler::kWorkStealing;
+  throwing.faults.events.push_back(
+      exec::ExecFaultPlan::hashed(exec::ExecFaultKind::kThrow, 1, 0, 1));
+  const par::ParallelOutput thrown =
+      exec::ThreadBackend(throwing).mine(db, config);
+  EXPECT_EQ(result_to_bytes(thrown.result), reference);
+  EXPECT_GT(thrown.exec_task_failures, 0u);
+  EXPECT_EQ(thrown.exec_task_failures, thrown.exec_task_retries);
+  const par::ParallelOutput replay =
+      exec::ThreadBackend(throwing).mine(db, config);
+  EXPECT_EQ(replay.exec_task_failures, thrown.exec_task_failures);
+  EXPECT_EQ(replay.exec_task_retries, thrown.exec_task_retries);
 }
 
 TEST(ExecBackend, TinyItemUniversesMatchSequentialEclat) {
