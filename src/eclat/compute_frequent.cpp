@@ -106,6 +106,8 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                       std::vector<std::size_t>& size_histogram,
                       IntersectStats* stats, MiningGuard* guard) {
   if (class_atoms.size() < 2) return;
+  const Tid universe = class_universe(class_atoms);
+  arena.begin_class(universe);
   if (guard != nullptr) guard->checkpoint();
 #if ECLAT_DCHECKS_ENABLED
   for (const Atom& atom : class_atoms) {
@@ -114,11 +116,9 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
                             class_atoms.front().items.begin()));
   }
 #endif
-  const Tid universe = class_universe(class_atoms);
 
   // Seed level 0 with the atoms in the kernel's preferred representation.
   TidArena::Level& root = arena.level(0);
-  root.reset();
   for (const Atom& atom : class_atoms) {
     TidSet& slot = root.scratch();
     seed_tidset(atom.tids, universe, kernel, slot, stats);

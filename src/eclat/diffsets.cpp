@@ -75,11 +75,11 @@ void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                IntersectStats* stats) {
   if (class_atoms.size() < 2) return;
   const Tid universe = class_universe(class_atoms);
+  arena.begin_class(universe);
 
   // Seed level 0 with the atoms' *tid-lists*; the representation switch
   // happens at the first join below.
   TidArena::Level& root = arena.level(0);
-  root.reset();
   for (const Atom& atom : class_atoms) {
     TidSet& slot = root.scratch();
     seed_tidset(atom.tids, universe, kernel, slot, stats);

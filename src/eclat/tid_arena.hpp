@@ -79,6 +79,14 @@ class TidArena {
   /// prefix() + suffixes[s].
   Itemset& prefix() { return prefix_; }
 
+  /// Start mining a class whose tids lie in [0, universe): every level
+  /// left by an earlier class is dead from here on (its cursor rewinds),
+  /// and relieve_memory demotes over this universe.
+  void begin_class(Tid universe) {
+    universe_ = universe;
+    for (Level& level : levels_) level.reset();
+  }
+
   /// Forget all cached state (buffers are dropped, not rewound). Only
   /// needed to release memory; mining calls reset what they use.
   void clear() {
@@ -103,18 +111,20 @@ class TidArena {
   /// Memory-pressure relief, called from a MiningGuard checkpoint (so no
   /// scratch() reference is outstanding): slots past each level's `used`
   /// cursor hold only dead data and are released outright; live slots are
-  /// demoted to the chunked representation when `demote_live` allows it
-  /// (kAuto/kChunked kernels — the forced sparse/dense kernels must keep
-  /// their representation). Returns the number of sets demoted. The
-  /// arena stays structurally valid: mining continues on the demoted
-  /// sets through the mixed-representation kernels.
+  /// demoted to the chunked representation over the class universe given
+  /// to begin_class, when `demote_live` allows it (kAuto/kChunked kernels
+  /// — the forced sparse/dense kernels must keep their representation).
+  /// Returns the number of sets demoted. The arena stays structurally
+  /// valid: mining continues on the demoted sets through the
+  /// mixed-representation kernels, next to undemoted siblings over the
+  /// same universe.
   std::size_t relieve_memory(bool demote_live) {
     std::size_t demoted = 0;
     for (Level& level : levels_) {
       for (std::size_t s = 0; s < level.sets.size(); ++s) {
         if (s >= level.used) {
           level.sets[s].release();
-        } else if (demote_live && level.sets[s].demote_to_chunked()) {
+        } else if (demote_live && level.sets[s].demote_to_chunked(universe_)) {
           ++demoted;
         }
       }
@@ -125,6 +135,7 @@ class TidArena {
  private:
   std::deque<Level> levels_;  // deque: stable refs while deeper levels grow
   Itemset prefix_;
+  Tid universe_ = 0;  // of the class being mined
 };
 
 }  // namespace eclat

@@ -109,33 +109,6 @@ std::size_t decode_words_u16(std::span<const std::uint64_t> words,
   return k;
 }
 
-/// Chunk-pair op classification for IntersectStats: bitset beats run
-/// beats array when the two sides disagree.
-void count_pair_op(IntersectStats* stats, ChunkedTidList::ContainerType a,
-                   ChunkedTidList::ContainerType b) {
-  if (stats == nullptr) return;
-  using CT = ChunkedTidList::ContainerType;
-  if (a == CT::kBitset || b == CT::kBitset) {
-    ++stats->chunk_bitset_ops;
-  } else if (a == CT::kRun || b == CT::kRun) {
-    ++stats->chunk_run_ops;
-  } else {
-    ++stats->chunk_array_ops;
-  }
-}
-
-void count_simd_words(IntersectStats* stats, const simd::KernelTable& kt) {
-  if (stats != nullptr && kt.level != simd::IsaLevel::kScalar) {
-    ++stats->simd_word_calls;
-  }
-}
-
-void count_simd_sparse(IntersectStats* stats, const simd::KernelTable& kt) {
-  if (stats != nullptr && kt.level != simd::IsaLevel::kScalar) {
-    ++stats->simd_sparse_calls;
-  }
-}
-
 }  // namespace
 
 std::span<const std::uint16_t> ChunkedTidList::array_of(const Chunk& c) const {
@@ -515,7 +488,6 @@ void ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
     and_pair(cb, b, ca, a, stats);
     return;
   }
-  count_pair_op(stats, ca.type, cb.type);
   const simd::KernelTable& kt = simd::kernels();
   const std::uint16_t key = ca.key;
   if (ca.type == ContainerType::kArray) {
@@ -530,7 +502,6 @@ void ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
             av.data(), av.size(), bv.data(), bv.size(), u16_pool_.data() + off,
             stats != nullptr ? &visited : nullptr);
         if (stats != nullptr) stats->tids_scanned += visited;
-        count_simd_sparse(stats, kt);
         emit_array(key, off, k);
         return;
       }
@@ -575,7 +546,6 @@ void ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
                                            word_pool_.data() + off,
                                            kChunkWords);
       if (stats != nullptr) stats->words_scanned += kChunkWords;
-      count_simd_words(stats, kt);
       emit_words(key, off, static_cast<std::size_t>(k));
       return;
     }
@@ -627,7 +597,6 @@ std::size_t ChunkedTidList::and_pair_count(const Chunk& ca,
   if (static_cast<int>(ca.type) > static_cast<int>(cb.type)) {
     return and_pair_count(cb, b, ca, a, stats);
   }
-  count_pair_op(stats, ca.type, cb.type);
   const simd::KernelTable& kt = simd::kernels();
   if (ca.type == ContainerType::kArray) {
     const auto av = a.array_of(ca);
@@ -639,7 +608,6 @@ std::size_t ChunkedTidList::and_pair_count(const Chunk& ca,
             av.data(), av.size(), bv.data(), bv.size(),
             stats != nullptr ? &visited : nullptr);
         if (stats != nullptr) stats->tids_scanned += visited;
-        count_simd_sparse(stats, kt);
         return k;
       }
       case ContainerType::kBitset: {
@@ -677,7 +645,6 @@ std::size_t ChunkedTidList::and_pair_count(const Chunk& ca,
       const std::uint64_t k =
           kt.and_words(aw.data(), bw.data(), nullptr, kChunkWords);
       if (stats != nullptr) stats->words_scanned += kChunkWords;
-      count_simd_words(stats, kt);
       return static_cast<std::size_t>(k);
     }
     const auto rv = b.runs_of(cb);
@@ -823,7 +790,6 @@ void ChunkedTidList::andnot_pair(const Chunk& ca, const ChunkedTidList& a,
                                  const Chunk& cb, const ChunkedTidList& b,
                                  IntersectStats* stats) {
   ECLAT_DCHECK(ca.key == cb.key);
-  count_pair_op(stats, ca.type, cb.type);
   const simd::KernelTable& kt = simd::kernels();
   const std::uint16_t key = ca.key;
   if (ca.type == ContainerType::kArray) {
@@ -874,7 +840,6 @@ void ChunkedTidList::andnot_pair(const Chunk& ca, const ChunkedTidList& a,
       k = static_cast<std::size_t>(
           kt.andnot_words(aw.data(), bw.data(), dst, kChunkWords));
       if (stats != nullptr) stats->words_scanned += kChunkWords;
-      count_simd_words(stats, kt);
       emit_words(key, off, k);
       return;
     }
@@ -903,7 +868,6 @@ void ChunkedTidList::andnot_pair(const Chunk& ca, const ChunkedTidList& a,
       const auto bw = b.words_of(cb);
       k = static_cast<std::size_t>(
           kt.andnot_words(dst, bw.data(), dst, kChunkWords));
-      count_simd_words(stats, kt);
       break;
     }
     case ContainerType::kRun: {
@@ -946,7 +910,6 @@ bool ChunkedTidList::assign_andnot_bounded(const ChunkedTidList& a,
 void ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
                                      std::span<const std::uint64_t> bw,
                                      IntersectStats* stats) {
-  count_pair_op(stats, ca.type, ContainerType::kBitset);
   const simd::KernelTable& kt = simd::kernels();
   switch (ca.type) {
     case ContainerType::kArray: {
@@ -969,7 +932,6 @@ void ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
       const std::uint64_t k = kt.and_words(aw.data(), bw.data(),
                                            word_pool_.data() + off, wn);
       if (stats != nullptr) stats->words_scanned += wn;
-      count_simd_words(stats, kt);
       emit_words(ca.key, off, static_cast<std::size_t>(k));
       return;
     }
@@ -994,7 +956,6 @@ void ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
 std::size_t ChunkedTidList::and_chunk_words_count(
     const Chunk& ca, const ChunkedTidList& a,
     std::span<const std::uint64_t> bw, IntersectStats* stats) {
-  count_pair_op(stats, ca.type, ContainerType::kBitset);
   const simd::KernelTable& kt = simd::kernels();
   switch (ca.type) {
     case ContainerType::kArray: {
@@ -1011,7 +972,6 @@ std::size_t ChunkedTidList::and_chunk_words_count(
       const std::size_t wn = std::min(aw.size(), bw.size());
       const std::uint64_t k = kt.and_words(aw.data(), bw.data(), nullptr, wn);
       if (stats != nullptr) stats->words_scanned += wn;
-      count_simd_words(stats, kt);
       return static_cast<std::size_t>(k);
     }
     case ContainerType::kRun: {
@@ -1034,7 +994,6 @@ void ChunkedTidList::andnot_chunk_words(const Chunk& ca,
                                         const ChunkedTidList& a,
                                         std::span<const std::uint64_t> bw,
                                         IntersectStats* stats) {
-  count_pair_op(stats, ca.type, ContainerType::kBitset);
   const simd::KernelTable& kt = simd::kernels();
   switch (ca.type) {
     case ContainerType::kArray: {
@@ -1060,7 +1019,6 @@ void ChunkedTidList::andnot_chunk_words(const Chunk& ca,
         k += static_cast<std::uint64_t>(std::popcount(aw[w]));
       }
       if (stats != nullptr) stats->words_scanned += wn;
-      count_simd_words(stats, kt);
       emit_words(ca.key, off, static_cast<std::size_t>(k));
       return;
     }
@@ -1081,7 +1039,6 @@ void ChunkedTidList::andnot_chunk_words(const Chunk& ca,
         stats->words_scanned += kChunkWords;
         stats->tids_scanned += rv.size();
       }
-      count_simd_words(stats, kt);
       emit_words(ca.key, off, static_cast<std::size_t>(k + extra));
       return;
     }
@@ -1232,7 +1189,6 @@ bool ChunkedTidList::assign_minus_sparse(const ChunkedTidList& a,
     if (je == jb) {
       copy_chunk(a, ca);
     } else {
-      count_pair_op(stats, ca.type, ContainerType::kArray);
       const auto sub = b.subspan(jb, je - jb);
       andnot_chunk_sparse(
           ca, a, sub.size(),
@@ -1261,7 +1217,6 @@ bool ChunkedTidList::and_sparse(const ChunkedTidList& a,
     while (je < b.size() && (b[je] >> 16) == ca.key) ++je;
     if (je != jb) {
       const auto sub = b.subspan(jb, je - jb);
-      count_pair_op(stats, ca.type, ContainerType::kArray);
       switch (ca.type) {
         case ContainerType::kArray: {
           const auto av = a.array_of(ca);
@@ -1332,7 +1287,6 @@ std::optional<std::size_t> ChunkedTidList::and_sparse_count(
     while (je < b.size() && (b[je] >> 16) == ca.key) ++je;
     if (je != jb) {
       const auto sub = b.subspan(jb, je - jb);
-      count_pair_op(stats, ca.type, ContainerType::kArray);
       switch (ca.type) {
         case ContainerType::kArray: {
           const auto av = a.array_of(ca);
@@ -1403,7 +1357,6 @@ bool ChunkedTidList::sparse_minus(std::span<const Tid> b,
     while (je < b.size() && (b[je] >> 16) == ca.key) ++je;
     if (je != jb) {
       const auto sub = b.subspan(jb, je - jb);
-      count_pair_op(stats, ca.type, ContainerType::kArray);
       switch (ca.type) {
         case ContainerType::kArray: {
           const auto av = a.array_of(ca);

@@ -65,7 +65,6 @@ class ChunkedTidList {
   Tid universe() const { return universe_; }
   std::size_t count() const { return count_; }
   bool empty() const { return count_ == 0; }
-  std::size_t chunk_count() const { return chunks_.size(); }
   ContainerHistogram histogram() const;
   /// Bytes held by the chunk directory and payload pools (capacities, for
   /// the exec memory budget).

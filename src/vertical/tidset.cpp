@@ -9,32 +9,59 @@ namespace eclat {
 
 namespace {
 
+/// True iff `kernel` runs on sets in representation `rep`: each forced
+/// kernel keeps its own representation everywhere, kAuto mixes all three.
+bool kernel_holds(IntersectKernel kernel, TidRep rep) {
+  switch (kernel) {
+    case IntersectKernel::kMerge:
+    case IntersectKernel::kMergeShortCircuit:
+    case IntersectKernel::kGallop:
+      return rep == TidRep::kSparse;
+    case IntersectKernel::kBitset:
+      return rep == TidRep::kDense;
+    case IntersectKernel::kChunked:
+      return rep == TidRep::kChunked;
+    case IntersectKernel::kAuto:
+      return true;
+  }
+  return false;
+}
+
 /// kAuto hands a sparse∩sparse pair to the galloping kernel when one side
 /// is this many times shorter than the other.
 constexpr std::size_t kGallopSkew = 32;
 
-bool sparse_pair_skewed(std::size_t a, std::size_t b) {
-  return std::min(a, b) * kGallopSkew < std::max(a, b);
-}
+/// The sparse∩sparse algorithm: galloping or merging, with or without
+/// the support bound. A bounded gallop only checks the shorter length
+/// against minsup up front; a bounded merge aborts mid-scan.
+struct SparseAlgorithm {
+  bool gallop;
+  bool bounded;
+};
 
-void count_simd_words(IntersectStats* stats) {
-  if (stats != nullptr &&
-      simd::kernels().level != simd::IsaLevel::kScalar) {
-    ++stats->simd_word_calls;
+/// The paper kernels name their algorithm; kAuto gallops on a 32× skew
+/// and otherwise merges, with the bound armed once minsup > 1 can prune.
+SparseAlgorithm sparse_algorithm(IntersectKernel kernel, std::size_t a,
+                                 std::size_t b, Count minsup) {
+  switch (kernel) {
+    case IntersectKernel::kMerge:
+      return {false, false};
+    case IntersectKernel::kMergeShortCircuit:
+      return {false, true};
+    case IntersectKernel::kGallop:
+      return {true, false};
+    case IntersectKernel::kBitset:
+    case IntersectKernel::kChunked:
+    case IntersectKernel::kAuto:
+      break;
   }
-}
-
-void count_simd_sparse(IntersectStats* stats) {
-  if (stats != nullptr &&
-      simd::kernels().level != simd::IsaLevel::kScalar) {
-    ++stats->simd_sparse_calls;
-  }
+  if (std::min(a, b) * kGallopSkew < std::max(a, b)) return {true, true};
+  return {false, minsup > 1};
 }
 
 /// Galloping sparse∩sparse through the dispatched kernel table.
 void gallop_into_dispatch(std::span<const Tid> a, std::span<const Tid> b,
-                          TidList& out, std::size_t* visited,
-                          IntersectStats* stats) {
+                          TidList& out, std::size_t* visited) {
   const std::span<const Tid> small = a.size() <= b.size() ? a : b;
   const std::span<const Tid> large = a.size() <= b.size() ? b : a;
   out.clear();
@@ -43,32 +70,68 @@ void gallop_into_dispatch(std::span<const Tid> a, std::span<const Tid> b,
       simd::kernels().gallop_u32(small.data(), small.size(), large.data(),
                                  large.size(), out.data(), visited);
   out.resize(k);
-  count_simd_sparse(stats);
 }
 
-/// Support-only gallop through the dispatched kernel table.
-Count gallop_count_dispatch(std::span<const Tid> a, std::span<const Tid> b,
-                            std::size_t* visited, IntersectStats* stats) {
-  const std::span<const Tid> small = a.size() <= b.size() ? a : b;
-  const std::span<const Tid> large = a.size() <= b.size() ? b : a;
-  count_simd_sparse(stats);
-  return simd::kernels().gallop_u32_count(small.data(), small.size(),
-                                          large.data(), large.size(),
-                                          visited);
+/// out = a ∩ b for two sorted lists by `algo`. Returns false iff the
+/// result misses minsup.
+bool sparse_intersect_into(std::span<const Tid> a, std::span<const Tid> b,
+                           Count minsup, SparseAlgorithm algo, TidList& out,
+                           IntersectStats* stats) {
+  std::size_t visited = 0;
+  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
+  bool ok = false;
+  if (algo.gallop) {
+    if (algo.bounded && std::min(a.size(), b.size()) < minsup) {
+      if (stats != nullptr) ++stats->short_circuited;
+      return false;
+    }
+    gallop_into_dispatch(a, b, out, vp);
+    ok = out.size() >= minsup;
+  } else if (algo.bounded) {
+    ok = intersect_short_circuit_into(a, b, minsup, out, vp);
+    if (!ok && stats != nullptr) ++stats->short_circuited;
+  } else {
+    intersect_into(a, b, out, vp);
+    ok = out.size() >= minsup;
+  }
+  if (stats != nullptr) stats->tids_scanned += visited;
+  return ok;
 }
 
-/// sparse ∩ denser-side by probing per sparse element (works against the
-/// flat bitmap and the chunked container alike), with the support bound
-/// |result| <= matched + sparse elements remaining. Returns false iff
-/// provably below minsup.
-template <typename DenseLike>
-bool probe_into(std::span<const Tid> sparse, const DenseLike& dense,
+/// Support-only variant of sparse_intersect_into.
+std::optional<Count> sparse_support(std::span<const Tid> a,
+                                    std::span<const Tid> b, Count minsup,
+                                    SparseAlgorithm algo,
+                                    IntersectStats* stats) {
+  std::size_t visited = 0;
+  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
+  std::optional<Count> count;
+  if (algo.gallop) {
+    if (algo.bounded && std::min(a.size(), b.size()) < minsup) {
+      if (stats != nullptr) ++stats->short_circuited;
+      return std::nullopt;
+    }
+    const std::span<const Tid> small = a.size() <= b.size() ? a : b;
+    const std::span<const Tid> large = a.size() <= b.size() ? b : a;
+    count = simd::kernels().gallop_u32_count(small.data(), small.size(),
+                                             large.data(), large.size(), vp);
+  } else {
+    // minsup 0 disarms the bound: a full scan, checked below.
+    count = intersect_count_bounded(a, b, algo.bounded ? minsup : 0, vp);
+    if (!count && stats != nullptr) ++stats->short_circuited;
+  }
+  if (stats != nullptr) stats->tids_scanned += visited;
+  if (!count || *count < minsup) return std::nullopt;
+  return count;
+}
+
+/// sparse ∩ flat bitmap by probing per sparse element, with the support
+/// bound |result| <= matched + sparse elements remaining. Returns false
+/// iff provably below minsup.
+bool probe_into(std::span<const Tid> sparse, const BitsetTidList& dense,
                 Count minsup, TidList& out, IntersectStats* stats) {
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
-    if (stats != nullptr) {
-      ++stats->probe_calls;
-      ++stats->short_circuited;
-    }
+    if (stats != nullptr) ++stats->short_circuited;
     return false;
   }
   out.clear();
@@ -84,7 +147,6 @@ bool probe_into(std::span<const Tid> sparse, const DenseLike& dense,
     if (dense.test(sparse[i])) out.push_back(sparse[i]);
   }
   if (stats != nullptr) {
-    ++stats->probe_calls;
     stats->tids_scanned += i;
     if (aborted) ++stats->short_circuited;
   }
@@ -92,15 +154,11 @@ bool probe_into(std::span<const Tid> sparse, const DenseLike& dense,
 }
 
 /// Support-only probe.
-template <typename DenseLike>
 std::optional<Count> probe_count(std::span<const Tid> sparse,
-                                 const DenseLike& dense, Count minsup,
+                                 const BitsetTidList& dense, Count minsup,
                                  IntersectStats* stats) {
   if (std::min<std::size_t>(sparse.size(), dense.count()) < minsup) {
-    if (stats != nullptr) {
-      ++stats->probe_calls;
-      ++stats->short_circuited;
-    }
+    if (stats != nullptr) ++stats->short_circuited;
     return std::nullopt;
   }
   const std::size_t n = sparse.size();
@@ -115,7 +173,6 @@ std::optional<Count> probe_count(std::span<const Tid> sparse,
     count += static_cast<std::size_t>(dense.test(sparse[i]));
   }
   if (stats != nullptr) {
-    ++stats->probe_calls;
     stats->tids_scanned += i;
     if (aborted) ++stats->short_circuited;
   }
@@ -123,9 +180,8 @@ std::optional<Count> probe_count(std::span<const Tid> sparse,
   return count;
 }
 
-/// sparse \ denser-side with the diffset budget bound.
-template <typename DenseLike>
-bool probe_minus_into(std::span<const Tid> sparse, const DenseLike& dense,
+/// sparse \ flat bitmap with the diffset budget bound.
+bool probe_minus_into(std::span<const Tid> sparse, const BitsetTidList& dense,
                       std::size_t budget, TidList& out,
                       IntersectStats* stats) {
   out.clear();
@@ -141,11 +197,14 @@ bool probe_minus_into(std::span<const Tid> sparse, const DenseLike& dense,
       out.push_back(sparse[i]);
     }
   }
-  if (stats != nullptr) {
-    ++stats->probe_calls;
-    stats->tids_scanned += i;
-  }
+  if (stats != nullptr) stats->tids_scanned += i;
   return ok;
+}
+
+/// A chunked/flat-bitmap support result as the public Count.
+std::optional<Count> as_support(std::optional<std::size_t> count) {
+  if (!count) return std::nullopt;
+  return static_cast<Count>(*count);
 }
 
 }  // namespace
@@ -209,12 +268,11 @@ void TidSet::assign_dense(std::span<const Tid> tids, Tid universe) {
   rep_ = TidRep::kDense;
 }
 
-bool TidSet::demote_to_chunked() {
+bool TidSet::demote_to_chunked(Tid universe) {
   if (rep_ == TidRep::kChunked) return false;
-  // Decode, re-encode chunked over the set's own span (max tid + 1), then
-  // drop the vacated buffer so the budget accounting actually improves.
+  // Decode, re-encode chunked over the class universe, then drop the
+  // vacated buffer so the budget accounting actually improves.
   TidList decoded = to_tidlist();
-  const Tid universe = decoded.empty() ? 0 : decoded.back() + 1;
   chunks_.assign(decoded, universe);
   if (rep_ == TidRep::kSparse) {
     tids_ = TidList();
@@ -222,7 +280,6 @@ bool TidSet::demote_to_chunked() {
     bits_ = BitsetTidList();
   }
   rep_ = TidRep::kChunked;
-  last_conv_ = -1;
   return true;
 }
 
@@ -231,11 +288,6 @@ void TidSet::release() {
   bits_ = BitsetTidList();
   chunks_ = ChunkedTidList();
   rep_ = TidRep::kSparse;
-  last_conv_ = 0;
-}
-
-bool TidSet::prefers_dense(std::size_t size, Tid universe) {
-  return size > 0 && (static_cast<std::uint64_t>(size) << 7) >= universe;
 }
 
 TidRep TidSet::preferred_rep(std::size_t size, Tid universe) {
@@ -248,16 +300,13 @@ TidRep TidSet::preferred_rep(std::size_t size, Tid universe) {
 
 void TidSet::set_rep(TidRep rep, IntersectStats* stats) {
   if (rep == rep_) return;
-  const std::int8_t dir = rep > rep_ ? 1 : -1;
   if (stats != nullptr) {
-    if (dir > 0) {
+    if (rep > rep_) {
       ++stats->densified;
     } else {
       ++stats->sparsified;
     }
-    if (last_conv_ != 0 && dir != last_conv_) ++stats->rep_flipflops;
   }
-  last_conv_ = dir;
   rep_ = rep;
 }
 
@@ -277,10 +326,7 @@ void TidSet::normalize(Tid universe, IntersectStats* stats) {
       stay = TidRep::kChunked;
     }
     if (stay > target) target = stay;
-    if (target >= rep_) {
-      if (stats != nullptr) ++stats->hysteresis_holds;
-      return;
-    }
+    if (target >= rep_) return;
   }
   // Move the data, from the current representation to the target.
   switch (target) {
@@ -357,7 +403,6 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
       break;
   }
   out.rep_ = rep;
-  out.last_conv_ = 0;
   if (stats != nullptr && rep != TidRep::kSparse) ++stats->densified;
 }
 
@@ -365,103 +410,41 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
                     IntersectKernel kernel, Tid universe, TidSet& out,
                     IntersectStats* stats) {
   ECLAT_DCHECK(&out != &a && &out != &b);
+  ECLAT_DCHECK(kernel_holds(kernel, a.rep_) && kernel_holds(kernel, b.rep_));
   if (stats != nullptr) ++stats->intersections;
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
+  const TidRep ar = a.rep_;
+  const TidRep br = b.rep_;
   bool ok = false;
-  switch (kernel) {
-    case IntersectKernel::kMerge: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      intersect_into(a.tids_, b.tids_, out.tids_, vp);
-      out.rep_ = TidRep::kSparse;
-      ok = out.tids_.size() >= minsup;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kMergeShortCircuit: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
-                                        vp);
-      out.rep_ = TidRep::kSparse;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-        if (!ok) ++stats->short_circuited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kGallop: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      gallop_into_dispatch(a.tids_, b.tids_, out.tids_, vp, stats);
-      out.rep_ = TidRep::kSparse;
-      ok = out.tids_.size() >= minsup;
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      ok = out.bits_.assign_and_bounded(
-          a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-      out.rep_ = TidRep::kDense;
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-        if (!ok) ++stats->short_circuited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      ok = out.chunks_.assign_and_bounded(a.chunks_, b.chunks_, minsup,
-                                          stats);
-      out.rep_ = TidRep::kChunked;
-      if (stats != nullptr) ++stats->chunked_calls;
-      return ok;
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
-  }
-
-  // kAuto: dispatch on the operands' representations, then normalize the
-  // result's representation by the density thresholds (hysteretically).
-  const bool a_dense = a.rep_ == TidRep::kDense;
-  const bool b_dense = b.rep_ == TidRep::kDense;
-  const bool a_chunked = a.rep_ == TidRep::kChunked;
-  const bool b_chunked = b.rep_ == TidRep::kChunked;
-  if (a_dense && b_dense) {
+  if (ar == TidRep::kSparse && br == TidRep::kSparse) {
+    ok = sparse_intersect_into(
+        a.tids_, b.tids_, minsup,
+        sparse_algorithm(kernel, a.tids_.size(), b.tids_.size(), minsup),
+        out.tids_, stats);
+    out.rep_ = TidRep::kSparse;
+  } else if (ar == TidRep::kDense && br == TidRep::kDense) {
     std::uint64_t words = 0;
     ok = out.bits_.assign_and_bounded(a.bits_, b.bits_, minsup,
                                       stats != nullptr ? &words : nullptr);
     out.rep_ = TidRep::kDense;
-    count_simd_words(stats);
     if (stats != nullptr) {
-      ++stats->bitset_calls;
       stats->words_scanned += words;
       if (!ok) ++stats->short_circuited;
     }
-  } else if (a_chunked && b_chunked) {
+  } else if (ar == TidRep::kChunked && br == TidRep::kChunked) {
     ok = out.chunks_.assign_and_bounded(a.chunks_, b.chunks_, minsup, stats);
     out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if ((a_chunked && b_dense) || (a_dense && b_chunked)) {
-    const TidSet& chunked = a_chunked ? a : b;
-    const TidSet& dense = a_chunked ? b : a;
+  } else if (ar != TidRep::kSparse && br != TidRep::kSparse) {
+    // One chunked operand, one flat bitmap.
+    const TidSet& chunked = ar == TidRep::kChunked ? a : b;
+    const TidSet& dense = ar == TidRep::kChunked ? b : a;
     ok = out.chunks_.assign_and_bits_bounded(chunked.chunks_, dense.bits_,
                                              minsup, stats);
     out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (a.rep_ != b.rep_) {
-    // Exactly one sparse operand: probe the denser side per element.
-    const TidSet& sparse = a.rep_ == TidRep::kSparse ? a : b;
-    const TidSet& other = a.rep_ == TidRep::kSparse ? b : a;
+  } else {
+    // Exactly one sparse operand: intersect against the denser side
+    // without converting it.
+    const TidSet& sparse = ar == TidRep::kSparse ? a : b;
+    const TidSet& other = ar == TidRep::kSparse ? b : a;
     if (other.rep_ == TidRep::kDense) {
       // Flat-bitmap lookups are O(1), so per-element probing is optimal.
       ok = probe_into(sparse.tids_, other.bits_, minsup, out.tids_, stats);
@@ -470,260 +453,89 @@ bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
       // list chunk-slice by chunk-slice instead (linear merge per chunk).
       ok = ChunkedTidList::and_sparse(other.chunks_, sparse.tids_, minsup,
                                       out.tids_, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
     }
     out.rep_ = TidRep::kSparse;
-  } else if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
-    if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        ++stats->short_circuited;
-      }
-      return false;
-    }
-    gallop_into_dispatch(a.tids_, b.tids_, out.tids_, vp, stats);
-    out.rep_ = TidRep::kSparse;
-    ok = out.tids_.size() >= minsup;
-    if (stats != nullptr) {
-      ++stats->gallop_calls;
-      stats->tids_scanned += visited;
-    }
-  } else if (minsup > 1) {
-    ok = intersect_short_circuit_into(a.tids_, b.tids_, minsup, out.tids_,
-                                      vp);
-    out.rep_ = TidRep::kSparse;
-    if (stats != nullptr) {
-      ++stats->merge_calls;
-      stats->tids_scanned += visited;
-      if (!ok) ++stats->short_circuited;
-    }
-  } else {
-    // Bound bookkeeping cannot pay off at minsup <= 1: plain merge.
-    intersect_into(a.tids_, b.tids_, out.tids_, vp);
-    out.rep_ = TidRep::kSparse;
-    ok = out.tids_.size() >= minsup;
-    if (stats != nullptr) {
-      ++stats->merge_calls;
-      stats->tids_scanned += visited;
-    }
   }
-  if (ok) out.normalize(universe, stats);
+  if (ok && kernel == IntersectKernel::kAuto) out.normalize(universe, stats);
   return ok;
 }
 
 std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
                                        Count minsup, IntersectKernel kernel,
                                        IntersectStats* stats) {
-  if (stats != nullptr) {
-    ++stats->intersections;
-    ++stats->count_only;
+  ECLAT_DCHECK(kernel_holds(kernel, a.rep_) && kernel_holds(kernel, b.rep_));
+  if (stats != nullptr) ++stats->intersections;
+  const TidRep ar = a.rep_;
+  const TidRep br = b.rep_;
+  if (ar == TidRep::kSparse && br == TidRep::kSparse) {
+    return sparse_support(
+        a.tids_, b.tids_, minsup,
+        sparse_algorithm(kernel, a.tids_.size(), b.tids_.size(), minsup),
+        stats);
   }
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
-  std::optional<Count> result;
-  switch (kernel) {
-    case IntersectKernel::kMerge: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      // minsup 0 disarms the bound: a full scan, checked afterwards.
-      const std::optional<Count> count =
-          intersect_count_bounded(a.tids_, b.tids_, 0, vp);
-      result = (count && *count >= minsup) ? count : std::nullopt;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return result;
-    }
-    case IntersectKernel::kMergeShortCircuit: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-        if (!result) ++stats->short_circuited;
-      }
-      return result;
-    }
-    case IntersectKernel::kGallop: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      const Count count = gallop_count_dispatch(a.tids_, b.tids_, vp, stats);
-      result = count >= minsup ? std::optional<Count>(count) : std::nullopt;
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        stats->tids_scanned += visited;
-      }
-      return result;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      const std::optional<std::size_t> count = BitsetTidList::and_count(
-          a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-        if (!count) ++stats->short_circuited;
-      }
-      if (!count) return std::nullopt;
-      return static_cast<Count>(*count);
-    }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      const std::optional<std::size_t> count =
-          ChunkedTidList::and_count(a.chunks_, b.chunks_, minsup, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
-      if (!count) return std::nullopt;
-      return static_cast<Count>(*count);
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
-  }
-
-  const bool a_dense = a.rep_ == TidRep::kDense;
-  const bool b_dense = b.rep_ == TidRep::kDense;
-  const bool a_chunked = a.rep_ == TidRep::kChunked;
-  const bool b_chunked = b.rep_ == TidRep::kChunked;
-  if (a_dense && b_dense) {
+  if (ar == TidRep::kDense && br == TidRep::kDense) {
     std::uint64_t words = 0;
     const std::optional<std::size_t> count = BitsetTidList::and_count(
         a.bits_, b.bits_, minsup, stats != nullptr ? &words : nullptr);
-    count_simd_words(stats);
     if (stats != nullptr) {
-      ++stats->bitset_calls;
       stats->words_scanned += words;
       if (!count) ++stats->short_circuited;
     }
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
+    return as_support(count);
   }
-  if (a_chunked && b_chunked) {
-    const std::optional<std::size_t> count =
-        ChunkedTidList::and_count(a.chunks_, b.chunks_, minsup, stats);
-    if (stats != nullptr) ++stats->chunked_calls;
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
+  if (ar == TidRep::kChunked && br == TidRep::kChunked) {
+    return as_support(
+        ChunkedTidList::and_count(a.chunks_, b.chunks_, minsup, stats));
   }
-  if ((a_chunked && b_dense) || (a_dense && b_chunked)) {
-    const TidSet& chunked = a_chunked ? a : b;
-    const TidSet& dense = a_chunked ? b : a;
-    const std::optional<std::size_t> count = ChunkedTidList::and_count_bits(
-        chunked.chunks_, dense.bits_, minsup, stats);
-    if (stats != nullptr) ++stats->chunked_calls;
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
+  if (ar != TidRep::kSparse && br != TidRep::kSparse) {
+    const TidSet& chunked = ar == TidRep::kChunked ? a : b;
+    const TidSet& dense = ar == TidRep::kChunked ? b : a;
+    return as_support(ChunkedTidList::and_count_bits(
+        chunked.chunks_, dense.bits_, minsup, stats));
   }
-  if (a.rep_ != b.rep_) {
-    const TidSet& sparse = a.rep_ == TidRep::kSparse ? a : b;
-    const TidSet& other = a.rep_ == TidRep::kSparse ? b : a;
-    if (other.rep_ == TidRep::kDense) {
-      return probe_count(sparse.tids_, other.bits_, minsup, stats);
-    }
-    if (stats != nullptr) ++stats->chunked_calls;
-    const std::optional<std::size_t> count = ChunkedTidList::and_sparse_count(
-        other.chunks_, sparse.tids_, minsup, stats);
-    if (!count) return std::nullopt;
-    return static_cast<Count>(*count);
+  const TidSet& sparse = ar == TidRep::kSparse ? a : b;
+  const TidSet& other = ar == TidRep::kSparse ? b : a;
+  if (other.rep_ == TidRep::kDense) {
+    return probe_count(sparse.tids_, other.bits_, minsup, stats);
   }
-  if (sparse_pair_skewed(a.tids_.size(), b.tids_.size())) {
-    if (std::min(a.tids_.size(), b.tids_.size()) < minsup) {
-      if (stats != nullptr) {
-        ++stats->gallop_calls;
-        ++stats->short_circuited;
-      }
-      return std::nullopt;
-    }
-    const Count count = gallop_count_dispatch(a.tids_, b.tids_, vp, stats);
-    result = count >= minsup ? std::optional<Count>(count) : std::nullopt;
-    if (stats != nullptr) {
-      ++stats->gallop_calls;
-      stats->tids_scanned += visited;
-    }
-    return result;
-  }
-  result = intersect_count_bounded(a.tids_, b.tids_, minsup, vp);
-  if (stats != nullptr) {
-    ++stats->merge_calls;
-    stats->tids_scanned += visited;
-    if (!result) ++stats->short_circuited;
-  }
-  return result;
+  return as_support(ChunkedTidList::and_sparse_count(
+      other.chunks_, sparse.tids_, minsup, stats));
 }
 
 bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
                      IntersectKernel kernel, Tid universe, TidSet& out,
                      IntersectStats* stats) {
   ECLAT_DCHECK(&out != &a && &out != &b);
-  std::size_t visited = 0;
-  std::size_t* const vp = stats != nullptr ? &visited : nullptr;
-  bool ok = false;
-  switch (kernel) {
-    case IntersectKernel::kMerge:
-    case IntersectKernel::kMergeShortCircuit:
-    case IntersectKernel::kGallop: {
-      // The budget bound is dEclat's algorithmic pruning rule, not an
-      // optional optimization, so every sparse kernel keeps it (galloping
-      // has no difference analogue and falls back to the merge).
-      ECLAT_DCHECK(a.rep_ == TidRep::kSparse && b.rep_ == TidRep::kSparse);
-      ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_, vp);
-      out.rep_ = TidRep::kSparse;
-      if (stats != nullptr) {
-        ++stats->merge_calls;
-        stats->tids_scanned += visited;
-      }
-      return ok;
-    }
-    case IntersectKernel::kBitset: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kDense && b.rep_ == TidRep::kDense);
-      std::uint64_t words = 0;
-      ok = out.bits_.assign_andnot_bounded(
-          a.bits_, b.bits_, budget, stats != nullptr ? &words : nullptr);
-      out.rep_ = TidRep::kDense;
-      count_simd_words(stats);
-      if (stats != nullptr) {
-        ++stats->bitset_calls;
-        stats->words_scanned += words;
-      }
-      return ok;
-    }
-    case IntersectKernel::kChunked: {
-      ECLAT_DCHECK(a.rep_ == TidRep::kChunked && b.rep_ == TidRep::kChunked);
-      ok = out.chunks_.assign_andnot_bounded(a.chunks_, b.chunks_, budget,
-                                             stats);
-      out.rep_ = TidRep::kChunked;
-      if (stats != nullptr) ++stats->chunked_calls;
-      return ok;
-    }
-    case IntersectKernel::kAuto:
-      break;  // dispatched below
-  }
-
+  ECLAT_DCHECK(kernel_holds(kernel, a.rep_) && kernel_holds(kernel, b.rep_));
   const TidRep ar = a.rep_;
   const TidRep br = b.rep_;
-  if (ar == TidRep::kDense && br == TidRep::kDense) {
+  bool ok = false;
+  if (ar == TidRep::kSparse && br == TidRep::kSparse) {
+    // The budget bound is dEclat's pruning rule, not an optional
+    // optimization, so every kernel keeps it; galloping has no
+    // difference analogue, so every kernel merges.
+    std::size_t visited = 0;
+    ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_,
+                                 stats != nullptr ? &visited : nullptr);
+    out.rep_ = TidRep::kSparse;
+    if (stats != nullptr) stats->tids_scanned += visited;
+  } else if (ar == TidRep::kDense && br == TidRep::kDense) {
     std::uint64_t words = 0;
     ok = out.bits_.assign_andnot_bounded(a.bits_, b.bits_, budget,
                                          stats != nullptr ? &words : nullptr);
     out.rep_ = TidRep::kDense;
-    count_simd_words(stats);
-    if (stats != nullptr) {
-      ++stats->bitset_calls;
-      stats->words_scanned += words;
-    }
+    if (stats != nullptr) stats->words_scanned += words;
   } else if (ar == TidRep::kChunked && br == TidRep::kChunked) {
     ok = out.chunks_.assign_andnot_bounded(a.chunks_, b.chunks_, budget,
                                            stats);
     out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
   } else if (ar == TidRep::kChunked && br == TidRep::kDense) {
     ok = out.chunks_.assign_andnot_bits_bounded(a.chunks_, b.bits_, budget,
                                                 stats);
     out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
-  } else if (ar == TidRep::kChunked && br == TidRep::kSparse) {
+  } else if (ar == TidRep::kChunked) {
     ok = out.chunks_.assign_minus_sparse(a.chunks_, b.tids_, budget, stats);
     out.rep_ = TidRep::kChunked;
-    if (stats != nullptr) ++stats->chunked_calls;
   } else if (ar == TidRep::kDense && br == TidRep::kChunked) {
     // Copy the flat bitmap, then clear the chunked container's bits.
     out.bits_.assign_copy(a.bits_);
@@ -732,38 +544,27 @@ bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
     out.bits_.set_count(a.bits_.count() - cleared);
     out.rep_ = TidRep::kDense;
     ok = out.bits_.count() <= budget;
-    if (stats != nullptr) {
-      ++stats->chunked_calls;
-      stats->words_scanned += a.bits_.word_count();
-    }
-  } else if (ar == TidRep::kSparse && br != TidRep::kSparse) {
-    if (br == TidRep::kDense) {
-      ok = probe_minus_into(a.tids_, b.bits_, budget, out.tids_, stats);
-    } else {
-      ok = ChunkedTidList::sparse_minus(a.tids_, b.chunks_, budget,
-                                        out.tids_, stats);
-      if (stats != nullptr) ++stats->chunked_calls;
-    }
-    out.rep_ = TidRep::kSparse;
-  } else if (ar == TidRep::kDense && br == TidRep::kSparse) {
+    if (stats != nullptr) stats->words_scanned += a.bits_.word_count();
+  } else if (ar == TidRep::kDense) {
     std::uint64_t words = 0;
     ok = out.bits_.assign_minus_sparse(a.bits_, b.tids_, budget,
                                        stats != nullptr ? &words : nullptr);
     out.rep_ = TidRep::kDense;
     if (stats != nullptr) {
-      ++stats->probe_calls;
       stats->words_scanned += words;
       stats->tids_scanned += b.tids_.size();
     }
   } else {
-    ok = difference_bounded_into(a.tids_, b.tids_, budget, out.tids_, vp);
-    out.rep_ = TidRep::kSparse;
-    if (stats != nullptr) {
-      ++stats->merge_calls;
-      stats->tids_scanned += visited;
+    // Sparse minuend against a denser subtrahend.
+    if (br == TidRep::kDense) {
+      ok = probe_minus_into(a.tids_, b.bits_, budget, out.tids_, stats);
+    } else {
+      ok = ChunkedTidList::sparse_minus(a.tids_, b.chunks_, budget,
+                                        out.tids_, stats);
     }
+    out.rep_ = TidRep::kSparse;
   }
-  if (ok) out.normalize(universe, stats);
+  if (ok && kernel == IntersectKernel::kAuto) out.normalize(universe, stats);
   return ok;
 }
 

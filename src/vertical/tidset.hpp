@@ -1,14 +1,25 @@
 // Adaptive tid-set layer: every tid-list in the mining recursion is held
 // sparse (sorted vector of tids), chunked (roaring-style hybrid
-// container), or dense (flat BitsetTidList), picked per list by density
-// thresholds over the class's tid universe.
+// container), or dense (flat BitsetTidList).
 //
-// Selection rule (kAuto): a list of n tids over universe U goes dense
-// when n · 128 >= U (measured crossover: the SIMD word AND's U/64-word
-// scan beats the chunked containers from density 1/128 up), chunked
-// when n · 1024 >= U (too sparse for the flat bitmap, but dense enough
-// that per-chunk containers put the hot 2^16-tid chunks on the word
-// kernels while the cold ones run the STTNI u16 merge), and sparse
+// Each operation (intersect_into, intersect_support, difference_into)
+// has one dispatch, on the operands' representations: one arm per
+// representation pair, shared by every kernel. The kernel decides only
+//   - the seed representation (seed_tidset): sparse for the paper's
+//     kernels, dense for kBitset, chunked for kChunked, chosen per list
+//     by the density thresholds for kAuto;
+//   - the sparse×sparse algorithm: the paper kernels name theirs, kAuto
+//     gallops on a 32× length skew and otherwise merges, bounded once
+//     minsup > 1;
+//   - whether the result is normalized (kAuto only).
+// A forced kernel therefore meets only its own representation pair.
+//
+// Density thresholds (kAuto): a list of n tids over universe U goes
+// dense when n · 128 >= U (measured crossover: the SIMD word AND's
+// U/64-word scan beats the chunked containers from density 1/128 up),
+// chunked when n · 1024 >= U (too sparse for the flat bitmap, but dense
+// enough that per-chunk containers put the hot 2^16-tid chunks on the
+// word kernels while the cold ones run the STTNI u16 merge), and sparse
 // below that (measurement and derivation in DESIGN.md §5).
 //
 // Representations convert only at class boundaries: atoms are seeded
@@ -18,11 +29,9 @@
 // happens eagerly at the thresholds above, while converting toward
 // sparser waits until the size falls a further 8x below the boundary
 // (the stay band), so a class oscillating around a threshold stops
-// converting at every level; holds and direction reversals are counted
-// in IntersectStats (hysteresis_holds / rep_flipflops). Mixed-
-// representation intersections run directly (probe the denser operand
-// per sparse element, address the flat bitmap chunk-by-chunk) rather
-// than converting an operand.
+// converting at every level. Mixed-representation pairs run directly
+// (probe the denser operand per sparse element, address the flat bitmap
+// chunk-by-chunk) rather than converting an operand.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +47,13 @@
 
 namespace eclat {
 
-/// Intersection kernel selection. kMerge/kMergeShortCircuit/kGallop force
-/// the sparse representation everywhere (the paper's kernels); kBitset
-/// forces the flat dense bitmap; kChunked forces the roaring-style
-/// hybrid container; kAuto dispatches at runtime — word-AND when both
-/// operands are dense, the chunked kernels when a chunked operand is
-/// involved, gallop when one sparse list is 32× shorter than the other,
-/// short-circuited merge otherwise — with the representation of every
-/// list chosen by the density thresholds.
+/// Intersection kernel selection. kMerge/kMergeShortCircuit/kGallop hold
+/// every list sparse and name the sparse×sparse algorithm (the paper's
+/// kernels); kBitset holds every list as the flat dense bitmap; kChunked
+/// as the roaring-style hybrid container; kAuto picks each list's
+/// representation by the density thresholds, renormalizes every result,
+/// and on sparse pairs gallops when one list is 32× shorter than the
+/// other and runs the short-circuited merge otherwise.
 enum class IntersectKernel : std::uint8_t {
   kMerge,
   kMergeShortCircuit,  // the paper's default
@@ -101,10 +109,6 @@ class TidSet {
   void assign_chunked(std::span<const Tid> tids, Tid universe);
   void assign_dense(std::span<const Tid> tids, Tid universe);
 
-  /// True iff the density threshold prefers the flat dense representation
-  /// for a list of `size` tids over `universe` transactions (size·128 >= U).
-  static bool prefers_dense(std::size_t size, Tid universe);
-
   /// The representation kAuto targets for a fresh list of `size` tids:
   /// dense at size·128 >= U, chunked at size·1024 >= U, else sparse.
   static TidRep preferred_rep(std::size_t size, Tid universe);
@@ -112,8 +116,7 @@ class TidSet {
   /// Convert toward preferred_rep, hysteretically: densifying happens
   /// eagerly, sparsifying only once the size falls 8x below the entry
   /// threshold (dense holds while size·1024 >= U, chunked while
-  /// size·8192 >= U). Counts conversions, holds, and direction
-  /// reversals into `stats` when given.
+  /// size·8192 >= U). Counts conversions into `stats` when given.
   void normalize(Tid universe, IntersectStats* stats);
 
   /// Decode to a sorted tid-list regardless of representation.
@@ -127,13 +130,16 @@ class TidSet {
            chunks_.memory_bytes();
   }
 
-  /// Memory-pressure demotion: re-encode as chunked (u16 containers,
-  /// ~half the bytes of a sparse u32 list; empty chunks dropped from a
-  /// dense bitmap) and release the vacated sparse/dense buffers. Only
-  /// valid when the active kernel dispatches mixed representations
-  /// (kAuto/kChunked) — the forced sparse/dense kernels assume their
-  /// representation everywhere. Returns false when already chunked.
-  bool demote_to_chunked();
+  /// Memory-pressure demotion: re-encode as chunked over `universe` (u16
+  /// containers, ~half the bytes of a sparse u32 list; empty chunks
+  /// dropped from a dense bitmap) and release the vacated sparse/dense
+  /// buffers. `universe` must be the class universe every dense and
+  /// chunked sibling was built over: the binary kernels pair chunked and
+  /// dense operands only over one universe. Only valid when the active
+  /// kernel dispatches mixed representations (kAuto/kChunked) — the
+  /// forced sparse/dense kernels assume their representation everywhere.
+  /// Returns false when already chunked.
+  bool demote_to_chunked(Tid universe);
 
   /// Drop every buffer (capacity included) and reset to an empty sparse
   /// set. Memory-pressure relief for slots whose contents are dead.
@@ -158,7 +164,6 @@ class TidSet {
   BitsetTidList bits_;     // dense storage
   ChunkedTidList chunks_;  // hybrid storage
   TidRep rep_ = TidRep::kSparse;
-  std::int8_t last_conv_ = 0;  // +1 densified last, -1 sparsified, 0 never
 };
 
 /// Load `tids` into `out` in the representation `kernel` mandates for a
@@ -168,10 +173,11 @@ void seed_tidset(std::span<const Tid> tids, Tid universe,
                  IntersectKernel kernel, TidSet& out,
                  IntersectStats* stats);
 
-/// out = a ∩ b through the dispatched kernel, short-circuiting below
-/// `minsup`. Returns false iff the result provably misses minsup (then
-/// out is unspecified). `out` must not alias `a` or `b`. Under kAuto the
-/// result representation is normalized by the density thresholds.
+/// out = a ∩ b through the arm for the operands' representations,
+/// short-circuiting below `minsup`. Returns false iff the result
+/// provably misses minsup (then out is unspecified). `out` must not
+/// alias `a` or `b`. Under kAuto the result representation is normalized
+/// by the density thresholds.
 bool intersect_into(const TidSet& a, const TidSet& b, Count minsup,
                     IntersectKernel kernel, Tid universe, TidSet& out,
                     IntersectStats* stats);
@@ -186,8 +192,8 @@ std::optional<Count> intersect_support(const TidSet& a, const TidSet& b,
 
 /// out = a \ b, aborting as soon as the result would exceed `budget`
 /// elements (the diffset pruning bound). Same dispatch/normalization
-/// rules as intersect_into; kGallop falls back to the sparse merge
-/// (galloping has no difference analogue).
+/// rules as intersect_into, except that sparse pairs always run the
+/// bounded merge (galloping has no difference analogue).
 bool difference_into(const TidSet& a, const TidSet& b, std::size_t budget,
                      IntersectKernel kernel, Tid universe, TidSet& out,
                      IntersectStats* stats);

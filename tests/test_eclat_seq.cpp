@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+
 #include "apriori/apriori.hpp"
 #include "common/rng.hpp"
 #include "eclat/compute_frequent.hpp"
 #include "test_util.hpp"
+#include "vertical/simd/dispatch.hpp"
 
 namespace eclat {
 namespace {
@@ -241,6 +246,69 @@ TEST(EclatSeq, IntersectStatsPopulated) {
   eclat_sequential(handmade_db(), config, &stats);
   EXPECT_GT(stats.intersections, 0u);
   EXPECT_GT(stats.tids_scanned, 0u);
+}
+
+// The six kernel counters, pinned per kernel and mining mode on one
+// fixed database. Any change to which kernel a pair of representations
+// reaches, to its short-circuit bound, or to where kAuto converts a
+// representation moves at least one of these numbers. The scan counters
+// measure work, which the vector kernels do in blocks, so the pins are
+// taken on the scalar kernel table every host has.
+TEST(EclatSeq, KernelCountersArePinned) {
+  struct Counters {
+    std::uint64_t intersections, short_circuited, tids_scanned,
+        words_scanned, densified, sparsified;
+  };
+  struct Pin {
+    IntersectKernel kernel;
+    bool diffsets;
+    Counters expected;
+  };
+  const Pin pins[] = {
+      {IntersectKernel::kMerge, false,
+       {9893, 0, 3417535, 0, 0, 0}},
+      {IntersectKernel::kMergeShortCircuit, false,
+       {9893, 2327, 3378614, 0, 0, 0}},
+      {IntersectKernel::kGallop, false,
+       {9893, 0, 2087723, 0, 0, 0}},
+      {IntersectKernel::kBitset, false,
+       {9893, 2327, 0, 780044, 104, 0}},
+      {IntersectKernel::kChunked, false,
+       {9893, 2327, 2480136, 129024, 104, 0}},
+      {IntersectKernel::kAuto, false,
+       {9893, 2327, 61903, 341483, 101, 32}},
+      {IntersectKernel::kMerge, true,
+       {9893, 2327, 3280741, 0, 0, 0}},
+      {IntersectKernel::kMergeShortCircuit, true,
+       {9893, 2327, 3280741, 0, 0, 0}},
+      {IntersectKernel::kGallop, true,
+       {9893, 2327, 3280741, 0, 0, 0}},
+      {IntersectKernel::kBitset, true,
+       {9893, 2327, 0, 759339, 104, 0}},
+      {IntersectKernel::kChunked, true,
+       {9893, 2327, 2027091, 384000, 104, 0}},
+      {IntersectKernel::kAuto, true,
+       {9893, 2327, 25181, 470521, 101, 932}},
+  };
+  simd::override_isa_level(simd::IsaLevel::kScalar);
+  const HorizontalDatabase db = small_quest_db(5000, 400, 11);
+  EclatConfig config;
+  config.minsup = 3;
+  for (const Pin& pin : pins) {
+    config.kernel = pin.kernel;
+    config.use_diffsets = pin.diffsets;
+    IntersectStats stats;
+    eclat_sequential(db, config, &stats);
+    const std::string where = std::string(kernel_name(pin.kernel)) +
+                              (pin.diffsets ? " diffsets" : " tid-sets");
+    EXPECT_EQ(stats.intersections, pin.expected.intersections) << where;
+    EXPECT_EQ(stats.short_circuited, pin.expected.short_circuited) << where;
+    EXPECT_EQ(stats.tids_scanned, pin.expected.tids_scanned) << where;
+    EXPECT_EQ(stats.words_scanned, pin.expected.words_scanned) << where;
+    EXPECT_EQ(stats.densified, pin.expected.densified) << where;
+    EXPECT_EQ(stats.sparsified, pin.expected.sparsified) << where;
+  }
+  simd::override_isa_level(std::nullopt);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "exec/exec_fault.hpp"
 #include "exec/mc_backend.hpp"
 #include "exec/thread_backend.hpp"
+#include "gen/quest.hpp"
 #include "test_util.hpp"
 #include "vertical/tidset.hpp"
 
@@ -410,6 +411,39 @@ TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
   }
 }
 
+TEST(ExecFault, NearPeakBudgetDemotesIntoTheClassUniverse) {
+  // A budget just under the metered peak demotes some live sets of a
+  // class and leaves their siblings in their dense or chunked form. The
+  // binary kernels then pair a demoted set with an undemoted one, which
+  // is only valid when both share the class universe.
+  gen::QuestConfig quest;
+  quest.num_transactions = 20000;
+  quest.num_items = 100;
+  quest.num_patterns = 50;
+  quest.avg_pattern_length = 4;
+  quest.avg_transaction_length = 10;
+  quest.seed = 7;
+  const HorizontalDatabase db = gen::QuestGenerator(quest).generate();
+  par::ParEclatConfig config;
+  config.minsup = 200;
+  config.kernel = IntersectKernel::kAuto;
+  const std::vector<std::uint8_t> reference = mc_reference(db, config);
+
+  exec::ThreadBackendOptions metering;
+  metering.threads = 1;
+  metering.mem_budget = std::size_t{1} << 40;
+  const std::size_t peak =
+      run_threads(db, config, metering).exec_arena_peak_bytes;
+  ASSERT_GT(peak, 0u);
+
+  exec::ThreadBackendOptions options;
+  options.threads = 1;
+  options.mem_budget = peak / 100 * 99;
+  const par::ParallelOutput run = run_threads(db, config, options);
+  EXPECT_EQ(result_to_bytes(run.result), reference);
+  EXPECT_GT(run.exec_arena_demotions, 0u);
+}
+
 TEST(ExecFault, StarvationBudgetQuarantinesWithAMemoryDiagnostic) {
   const HorizontalDatabase db = small_quest_db(260, 24, 7);
   par::ParEclatConfig config;
@@ -455,10 +489,11 @@ TEST(ExecFault, TidSetDemoteAndReleaseKeepDecodedTidsExact) {
   set.assign_sparse(tids);
   EXPECT_GT(set.memory_bytes(), 0u);
 
-  EXPECT_TRUE(set.demote_to_chunked());
+  EXPECT_TRUE(set.demote_to_chunked(500));
   EXPECT_EQ(set.rep(), TidRep::kChunked);
-  EXPECT_EQ(set.to_tidlist(), tids);     // lossless
-  EXPECT_FALSE(set.demote_to_chunked());  // already chunked: no-op
+  EXPECT_EQ(set.chunks().universe(), 500u);  // the given universe
+  EXPECT_EQ(set.to_tidlist(), tids);         // lossless
+  EXPECT_FALSE(set.demote_to_chunked(500));  // already chunked: no-op
 
   set.release();
   EXPECT_EQ(set.memory_bytes(), 0u);
@@ -469,6 +504,7 @@ TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndDemotesLive) {
   TidArena arena;
   TidList tids;
   for (Tid t = 0; t < 256; ++t) tids.push_back(t * 2);
+  arena.begin_class(1024);
   TidArena::Level& level = arena.level(0);
   level.scratch().assign_sparse(tids);
   level.commit(3, static_cast<Count>(tids.size()));  // slot 0: live
@@ -481,6 +517,7 @@ TEST(ExecFault, ArenaRelieveMemoryReleasesDeadAndDemotesLive) {
   const std::size_t demoted = arena.relieve_memory(true);
   EXPECT_GE(demoted, 1u);
   EXPECT_EQ(level.sets[0].rep(), TidRep::kChunked);
+  EXPECT_EQ(level.sets[0].chunks().universe(), 1024u);  // class universe
   EXPECT_EQ(level.sets[0].to_tidlist(), tids);
   EXPECT_EQ(level.sets[1].memory_bytes(), 0u);
   EXPECT_LT(arena.memory_bytes(), before);

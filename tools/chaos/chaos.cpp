@@ -441,12 +441,15 @@ ExecChaosRun run_exec_plan(const HorizontalDatabase& db,
   exec::ThreadBackend backend(backend_options);
   par::ParEclatConfig config;
   config.minsup = options.minsup;
+  config.kernel = options.kernel;
   try {
     const par::ParallelOutput output = backend.mine(db, config);
     out.completed = true;
     out.failures = output.exec_task_failures;
     out.retries = output.exec_task_retries;
     out.reclaims = output.exec_stall_reclaims;
+    out.demotions = output.exec_arena_demotions;
+    out.peak_bytes = output.exec_arena_peak_bytes;
     out.result_bytes = result_to_bytes(output.result);
   } catch (const exec::ExecClassQuarantined& e) {
     // The one *expected* abort of a threads run: a class exceeded its

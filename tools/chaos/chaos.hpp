@@ -148,6 +148,9 @@ struct ExecChaosOptions {
   exec::ClassScheduler scheduler = exec::ClassScheduler::kWorkStealing;
   std::uint32_t max_retries = 2;
   std::size_t mem_budget = 0;  ///< bytes per worker arena; 0 = unlimited
+  /// kAuto lets the budget demote live sets; the paper's default kernel
+  /// skips straight to failing the class.
+  IntersectKernel kernel = IntersectKernel::kMergeShortCircuit;
 };
 
 /// Outcome of one exec chaos run.
@@ -163,6 +166,11 @@ struct ExecChaosRun {
   std::uint64_t failures = 0;
   std::uint64_t retries = 0;
   std::uint64_t reclaims = 0;
+  std::uint64_t demotions = 0;  ///< live sets the budget demoted
+  /// Largest metered per-worker arena (0 with the budget off). Above
+  /// the budget means the budget tripped at least once: the run
+  /// degraded by demoting or by failing and retrying a class.
+  std::size_t peak_bytes = 0;
   std::vector<std::uint8_t> result_bytes;
 };
 

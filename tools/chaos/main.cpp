@@ -11,8 +11,11 @@
 // schedules on the virtual-time simulator; "threads" sweeps seeded
 // ExecFaultPlans (injected throws, corrupt results, cooperative stalls)
 // on the native thread backend, rotating worker count and scheduler per
-// seed unless pinned with --exec-threads / --exec-scheduler; "both" runs
-// the two legs off the same seeds and diffs their outcomes.
+// seed unless pinned with --exec-threads / --exec-scheduler (unpinned
+// thread counts also rotate the kernel between short-circuit and auto,
+// so a --exec-mem-budget sweep reaches both the fail-the-class and the
+// demotion rung of the budget ladder); "both" runs the two legs off the
+// same seeds and diffs their outcomes.
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
@@ -125,10 +128,14 @@ int main(int argc, char** argv) {
         exec::parse_scheduler(flags.get("exec-scheduler", "steal"));
   }
   // Unpinned sweeps rotate the execution shape per seed so one sweep
-  // covers threads 1..5 under both schedulers.
+  // covers threads 1..5 under both schedulers and both budget rungs.
   const auto exec_options_for = [&](std::uint64_t seed) {
     chaos::ExecChaosOptions o = exec_base;
     o.threads = pinned_threads != 0 ? pinned_threads : 1 + seed % 5;
+    if (pinned_threads == 0) {
+      o.kernel = (seed >> 2) % 2 == 0 ? IntersectKernel::kMergeShortCircuit
+                                      : IntersectKernel::kAuto;
+    }
     if (!pinned_scheduler) {
       o.scheduler = (seed >> 3) % 2 == 0 ? exec::ClassScheduler::kWorkStealing
                                          : exec::ClassScheduler::kStatic;
@@ -326,6 +333,7 @@ int main(int argc, char** argv) {
 
   // --- threads leg ---
   std::size_t exec_completed = 0, exec_aborted = 0, joint_agree = 0;
+  std::size_t exec_degraded = 0, exec_memory_aborts = 0;
   for (const auto& [seed, plan] : exec_plans) {
     const chaos::ExecChaosOptions run_options = exec_options_for(seed);
     if (flags.get_bool("print-plan", false)) {
@@ -336,12 +344,19 @@ int main(int argc, char** argv) {
     std::string what;
     if (run.completed) {
       ++exec_completed;
+      if (run_options.mem_budget != 0 &&
+          run.peak_bytes > run_options.mem_budget) {
+        ++exec_degraded;
+      }
       if (run.result_bytes != reference.result_bytes) {
         what = "completed threads run diverged from the fault-free "
                "reference bytes";
       }
     } else if (run.clean_abort) {
       ++exec_aborted;
+      if (run.error.find("memory budget") != std::string::npos) {
+        ++exec_memory_aborts;
+      }
     } else {
       what = "unexpected abort: " + run.error;
     }
@@ -397,14 +412,17 @@ int main(int argc, char** argv) {
     }
     if (flags.get_bool("verbose", false)) {
       std::printf(
-          "threads seed %llu: %s threads=%zu scheduler=%s failures=%llu "
-          "retries=%llu reclaims=%llu%s%s\n",
+          "threads seed %llu: %s threads=%zu scheduler=%s kernel=%s "
+          "failures=%llu retries=%llu reclaims=%llu demotions=%llu "
+          "peak=%zu%s%s\n",
           static_cast<unsigned long long>(seed),
           run.completed ? "completed" : "aborted ", run_options.threads,
           exec::to_string(run_options.scheduler),
+          kernel_name(run_options.kernel),
           static_cast<unsigned long long>(run.failures),
           static_cast<unsigned long long>(run.retries),
           static_cast<unsigned long long>(run.reclaims),
+          static_cast<unsigned long long>(run.demotions), run.peak_bytes,
           run.error.empty() ? "" : " error=", run.error.c_str());
     }
   }
@@ -426,6 +444,14 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(std::count_if(
             violations.begin(), violations.end(),
             [](const Violation& v) { return v.backend == "threads"; })));
+    if (exec_base.mem_budget != 0) {
+      std::printf(
+          "chaos[threads]: memory budget %zu B: %zu completed runs "
+          "degraded (budget tripped), %zu completed within it, %zu "
+          "quarantined over it\n",
+          exec_base.mem_budget, exec_degraded,
+          exec_completed - exec_degraded, exec_memory_aborts);
+    }
   }
   if (run_mc_leg && run_exec_leg) {
     std::printf("chaos[both]: %zu/%zu seeds resolved identically across "
