@@ -266,6 +266,15 @@ TEST(BitsetTidList, AndNotAndMinusSparseMatchDifference) {
   }
 }
 
+TEST(TidSet, PrefersDenseAtTheDocumentedThreshold) {
+  // Dense iff size * 128 >= universe; the boundary itself goes dense.
+  EXPECT_EQ(TidSet::preferred_rep(0, 128), TidRep::kSparse);  // empty
+  EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kDense);
+  EXPECT_EQ(TidSet::preferred_rep(10, 1280), TidRep::kDense);
+  EXPECT_NE(TidSet::preferred_rep(9, 1280), TidRep::kDense);
+  EXPECT_EQ(TidSet::preferred_rep(10, 1279), TidRep::kDense);
+}
+
 TEST(TidSet, SeedRepresentationFollowsKernel) {
   const TidList tids = {0, 10, 20, 30};  // density 4/640 — under threshold
   constexpr Tid kUniverse = 640;
@@ -632,11 +641,6 @@ TEST(TidSet, PreferredRepFollowsThresholds) {
   EXPECT_EQ(TidSet::preferred_rep(1, 1024), TidRep::kChunked);
   EXPECT_EQ(TidSet::preferred_rep(1, 1025), TidRep::kSparse);
   EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kDense);
-  // The dense boundary itself goes dense.
-  EXPECT_EQ(TidSet::preferred_rep(0, 128), TidRep::kSparse);
-  EXPECT_EQ(TidSet::preferred_rep(10, 1280), TidRep::kDense);
-  EXPECT_EQ(TidSet::preferred_rep(9, 1280), TidRep::kChunked);
-  EXPECT_EQ(TidSet::preferred_rep(10, 1279), TidRep::kDense);
 }
 
 TEST(TidSet, NormalizeHoldsInsideTheStayBand) {
