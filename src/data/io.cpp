@@ -1,10 +1,12 @@
 #include "data/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
+#include <string_view>
 
 namespace eclat {
 namespace {
@@ -24,6 +26,27 @@ T read_pod(std::istream& stream) {
   stream.read(reinterpret_cast<char*>(&value), sizeof(T));
   if (!stream) throw std::runtime_error("truncated binary database");
   return value;
+}
+
+/// Field separators of the text format: blanks and tabs, and the '\r' of
+/// a CRLF line end (\v and \f too, as operator>> skipped them).
+bool is_separator(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// One text-format token as an item id: plain decimal digits below
+/// 2^32 - 1, so that max item + 1 still fits an Item.
+Item parse_item(std::string_view token, std::size_t line_number) {
+  Item item = 0;
+  const auto [end, error] =
+      std::from_chars(token.data(), token.data() + token.size(), item);
+  if (error != std::errc{} || end != token.data() + token.size() ||
+      item == std::numeric_limits<Item>::max()) {
+    throw std::runtime_error("text database line " +
+                             std::to_string(line_number) +
+                             ": invalid item id '" + std::string(token) + "'");
+  }
+  return item;
 }
 
 }  // namespace
@@ -115,12 +138,20 @@ HorizontalDatabase read_text(std::istream& stream, Item min_num_items) {
   Item max_item = 0;
   std::string line;
   Tid tid = 0;
+  std::size_t line_number = 0;
   while (std::getline(stream, line)) {
-    if (line.empty()) continue;
-    std::istringstream fields(line);
+    ++line_number;
     Itemset items;
-    Item item;
-    while (fields >> item) items.push_back(item);
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    for (;;) {
+      while (p != end && is_separator(*p)) ++p;
+      if (p == end) break;
+      const char* const token = p;
+      while (p != end && !is_separator(*p)) ++p;
+      items.push_back(parse_item(
+          {token, static_cast<std::size_t>(p - token)}, line_number));
+    }
     std::sort(items.begin(), items.end());
     items.erase(std::unique(items.begin(), items.end()), items.end());
     if (items.empty()) continue;

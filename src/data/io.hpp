@@ -11,8 +11,9 @@
 //     items                    item_count * u32, strictly increasing
 //
 // Text format (for interoperability with SPMF/Borgelt-style tools): one
-// transaction per line, items as whitespace-separated integers; tids are
-// assigned by line number.
+// transaction per line, items as decimal ids below 2^32 - 1 separated by
+// blanks or tabs (LF or CRLF line ends); tids are assigned in order to the
+// non-empty lines.
 #pragma once
 
 #include <iosfwd>
@@ -37,6 +38,8 @@ void write_text(const HorizontalDatabase& db, std::ostream& stream);
 
 /// Parse the text format. Items on a line are sorted and deduplicated;
 /// `num_items` is inferred as max item id + 1 unless a larger floor is given.
+/// Throws std::runtime_error naming the 1-based line and the token on any
+/// token that is not a valid item id (signs, fractions, letters, overflow).
 HorizontalDatabase read_text(std::istream& stream, Item min_num_items = 0);
 
 void write_text_file(const HorizontalDatabase& db, const std::string& path);

@@ -1,7 +1,8 @@
-// libFuzzer harness for the ECLATHDB binary reader: arbitrary bytes fed
-// through read_binary must either parse into a database that satisfies the
-// reader's own invariants or raise std::runtime_error — never crash, never
-// allocate unbounded memory from a forged header count.
+// libFuzzer harness for the database readers: arbitrary bytes fed through
+// read_binary and through read_text must either parse into a database that
+// satisfies the readers' own invariants or raise std::runtime_error — never
+// crash, never allocate unbounded memory from a forged header count, never
+// wrap or drop a malformed item id.
 //
 // Under ECLAT_SANITIZE=fuzzer (Clang) this links the libFuzzer driver and
 // runs open-ended:   ./fuzz_io -max_total_time=60 corpus/
@@ -17,21 +18,34 @@
 #include "data/horizontal.hpp"
 #include "data/io.hpp"
 
+namespace {
+
+/// Input that survives parsing must still satisfy the readers' own
+/// invariants — check the strongest one.
+void check_items(const eclat::HorizontalDatabase& db) {
+  for (const eclat::Transaction& t : db.transactions()) {
+    for (const eclat::Item item : t.items) {
+      ECLAT_CHECK(item < db.num_items());
+    }
+  }
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
-  std::istringstream in(bytes, std::ios::binary);
+  // A std::runtime_error is malformed input detected and rejected: exactly
+  // the contract.
   try {
-    const eclat::HorizontalDatabase db = eclat::read_binary(in);
-    // Input that survives parsing must still satisfy the reader's own
-    // invariants — check the strongest one.
-    for (const eclat::Transaction& t : db.transactions()) {
-      for (const eclat::Item item : t.items) {
-        ECLAT_CHECK(item < db.num_items());
-      }
-    }
+    std::istringstream in(bytes, std::ios::binary);
+    check_items(eclat::read_binary(in));
   } catch (const std::runtime_error&) {
-    // Malformed input detected and rejected: exactly the contract.
+  }
+  try {
+    std::istringstream in(bytes);
+    check_items(eclat::read_text(in));
+  } catch (const std::runtime_error&) {
   }
   return 0;
 }
@@ -70,6 +84,22 @@ std::string serialize(const eclat::HorizontalDatabase& db) {
   return out.str();
 }
 
+std::string serialize_text(const eclat::HorizontalDatabase& db) {
+  std::ostringstream out;
+  eclat::write_text(db, out);
+  return out.str();
+}
+
+/// Text lines the reader once accepted by dropping the rest of the line
+/// or wrapping the id; each must now be rejected.
+constexpr const char* kMalformedTextLines[] = {
+    "1 2 x 3", "3 1.5 7", "1 99999999999 3", "-1 5", "4294967295"};
+
+void feed(const std::string& bytes) {
+  LLVMFuzzerTestOneInput(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                         bytes.size());
+}
+
 /// Apply one of: truncation, byte flips, or a splice of random bytes —
 /// the same mutation model as the wire fuzzer.
 std::string mutate(std::string bytes, eclat::Rng& rng) {
@@ -105,14 +135,27 @@ int main(int argc, char** argv) {
   const int iterations = argc > 1 ? std::atoi(argv[1]) : 2000;
   const std::uint64_t seed =
       argc > 2 ? std::strtoull(argv[2], nullptr, 0) : 0xECDB;
+  for (const char* line : kMalformedTextLines) {
+    const std::string bytes = std::string("0 1\n") + line + "\n";
+    feed(bytes);
+    bool rejected = false;
+    try {
+      std::istringstream in(bytes);
+      (void)eclat::read_text(in);
+    } catch (const std::runtime_error&) {
+      rejected = true;
+    }
+    ECLAT_CHECK(rejected);
+  }
   eclat::Rng rng(seed);
   for (int i = 0; i < iterations; ++i) {
-    const std::string bytes = mutate(serialize(valid_db(rng)), rng);
-    LLVMFuzzerTestOneInput(reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                           bytes.size());
+    const eclat::HorizontalDatabase db = valid_db(rng);
+    feed(mutate(serialize(db), rng));
+    feed(mutate(serialize_text(db), rng));
   }
-  std::printf("fuzz_io: %d seeded inputs, seed=0x%llx, no crashes\n",
-              iterations, static_cast<unsigned long long>(seed));
+  std::printf("fuzz_io: %d binary + %d text seeded inputs, seed=0x%llx, "
+              "no crashes\n",
+              iterations, iterations, static_cast<unsigned long long>(seed));
   return 0;
 }
 #endif  // ECLAT_FUZZ_LIBFUZZER

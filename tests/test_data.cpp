@@ -142,7 +142,8 @@ TEST(Io, TextRoundTrip) {
 }
 
 TEST(Io, TextSortsAndDeduplicates) {
-  std::stringstream stream("5 1 3 1\n\n2 2\n");
+  // Tabs, runs of blanks, a CRLF line end and a blank CRLF line all parse.
+  std::stringstream stream("5 1\t3  1\r\n\r\n\t2 2\n");
   const HorizontalDatabase db = read_text(stream);
   ASSERT_EQ(db.size(), 2u);
   EXPECT_EQ(db[0].items, (Itemset{1, 3, 5}));
@@ -151,9 +152,35 @@ TEST(Io, TextSortsAndDeduplicates) {
 }
 
 TEST(Io, TextHonorsMinNumItems) {
-  std::stringstream stream("0 1\n");
+  std::stringstream stream("0\t1\r\n");
   const HorizontalDatabase db = read_text(stream, 100);
   EXPECT_EQ(db.num_items(), 100u);
+}
+
+TEST(Io, TextRejectsMalformedItemIds) {
+  // Each bad line sits on line 2 of its input: the error must name that
+  // line and the offending token instead of silently dropping the rest of
+  // the line or wrapping the id.
+  const std::pair<const char*, const char*> cases[] = {
+      {"1 2 x 3", "'x'"},
+      {"3 1.5 7", "'1.5'"},
+      {"1 99999999999 3", "'99999999999'"},
+      {"-1 5", "'-1'"},
+      {"4294967295", "'4294967295'"},  // max item + 1 would overflow
+  };
+  for (const auto& [line, token] : cases) {
+    std::stringstream stream(std::string("0 1\n") + line + "\n");
+    try {
+      (void)read_text(stream);
+      ADD_FAILURE() << "accepted: " << line;
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("line 2"), std::string::npos) << message;
+      EXPECT_NE(message.find(token), std::string::npos) << message;
+    }
+  }
+  std::stringstream largest("4294967294\n");
+  EXPECT_EQ(read_text(largest).num_items(), 4294967295u);
 }
 
 TEST(Io, FileRoundTrip) {

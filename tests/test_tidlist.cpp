@@ -440,7 +440,7 @@ TEST(TidSet, KernelNamesRoundTrip) {
 constexpr Tid kChunkUniverse = 1u << 18;
 
 /// Adversarial single lists for the chunked container: chunk-boundary
-/// values, run-heavy spans, single-tid chunks, and a bitset-dense chunk.
+/// values, clustered spans, single-tid chunks, and a bitset-dense chunk.
 std::vector<TidList> chunked_adversarial_lists() {
   std::vector<TidList> lists;
   lists.push_back({});
@@ -448,7 +448,7 @@ std::vector<TidList> chunked_adversarial_lists() {
   lists.push_back({65535});                       // last tid of chunk 0
   lists.push_back({65536});                       // first tid of chunk 1
   lists.push_back({65535, 65536, 131071, 131072});  // both boundary sides
-  TidList runs;  // run-compressed: long consecutive spans
+  TidList runs;  // clustered: consecutive spans (chunk 0 bitset, 1 array)
   for (Tid t = 100; t < 5100; ++t) runs.push_back(t);
   for (Tid t = 70000; t < 70100; ++t) runs.push_back(t);
   lists.push_back(std::move(runs));
@@ -479,20 +479,24 @@ TEST(ChunkedTidList, RoundTripOnAdversarialLists) {
 }
 
 TEST(ChunkedTidList, HistogramReflectsContainerTypes) {
-  // Chunk 0: 2000 scattered tids — too sparse for a bitset (card < 1024
-  // needs... 2000 >= 1024, so bitset), chunk 1: a pure run, chunk 2: a
-  // small array. Build each regime explicitly.
+  // A chunk's container depends on its cardinality alone: bitset at
+  // 1024 tids or more, array below, whether the tids are scattered or
+  // consecutive. One chunk per case:
+  //   chunk 0: 2000 scattered tids    → bitset
+  //   chunk 1: 512 consecutive tids   → array
+  //   chunk 2: 2 tids                 → array
+  //   chunk 3: 1500 consecutive tids  → bitset
   TidList tids;
-  for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);  // 2000 ≥ 1024 → bitset
-  for (Tid t = 65536; t < 65536 + 512; ++t) tids.push_back(t);  // 1 run, 512 card
-  tids.push_back(131072 + 5);  // 1-element array
+  for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);
+  for (Tid t = 65536; t < 65536 + 512; ++t) tids.push_back(t);
+  tids.push_back(131072 + 5);
   tids.push_back(131072 + 99);
+  for (Tid t = 196608 + 100; t < 196608 + 1600; ++t) tids.push_back(t);
   ChunkedTidList chunks;
   chunks.assign(tids, kChunkUniverse);
   const ChunkedTidList::ContainerHistogram hist = chunks.histogram();
-  EXPECT_EQ(hist.bitset, 1u);
-  EXPECT_EQ(hist.run, 1u);
-  EXPECT_EQ(hist.array, 1u);
+  EXPECT_EQ(hist.bitset, 2u);
+  EXPECT_EQ(hist.array, 2u);
   EXPECT_EQ(chunks.to_tidlist(), tids);
 }
 
@@ -505,7 +509,7 @@ TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
       cases.emplace_back(adversarial[i], adversarial[j]);
     }
   }
-  // Density grid across the array/bitset/run container regimes.
+  // Density grid across the array and bitset container regimes.
   for (double da : {0.001, 0.01, 0.05}) {
     for (double db : {0.001, 0.05}) {
       cases.emplace_back(random_list(rng, kChunkUniverse, da),
