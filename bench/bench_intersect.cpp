@@ -96,11 +96,13 @@ BENCHMARK(BM_IntersectMergeSkewed)->Range(1 << 12, 1 << 20);
 
 // --- Density sweep through the dispatched TidSet kernels -------------------
 //
-// Equal-density pairs over a fixed 64K-tid universe, density from 0.1% up
-// to 50%. The threshold (n * 64 >= U, i.e. density 1/64) sits inside the
-// sweep, so kAuto runs sparse merge at the low end and the dense word-AND
-// at the high end; kBitset shows what forcing the bitset costs on sparse
-// inputs, kMergeShortCircuit what the merge costs on dense ones.
+// Equal-density pairs over a fixed 64K-tid universe (one chunk), density
+// from 0.1% up to 50%. Both thresholds (chunked at n * 1024 >= U, the
+// chunk's bitset at n * 128 >= U) sit inside the sweep, so kAuto runs
+// sparse merge at the low end, the u16 array chunk in the middle and the
+// bitset word-AND at the high end; kBitset shows what forcing bitset
+// chunks costs on sparse inputs, kMergeShortCircuit what the merge costs
+// on dense ones.
 
 constexpr double kSweepDensities[] = {0.001, 0.01, 0.05, 0.1, 0.25, 0.5};
 constexpr eclat::Tid kSweepUniverse = 1 << 16;

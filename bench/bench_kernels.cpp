@@ -3,14 +3,15 @@
 //
 //   1. Micro: intersection throughput (tids/s) of each kernel on
 //      equal-density pairs over a 256K-tid universe, density swept from
-//      0.1% to 50%. Both adaptive thresholds (chunked entry 1/1024,
-//      dense entry 1/128) sit inside the sweep, so kAuto should track
-//      the merge kernels at the sparse end, the chunked containers in
-//      the mid band, and the bitset word-AND on the dense half.
+//      0.1% to 50%. Both adaptive thresholds (chunked entry 1/1024, the
+//      chunk's array→bitset switch at 1/128 of its span) sit inside the
+//      sweep, so kAuto should track the merge kernels at the sparse end,
+//      the array chunks in the mid band, and the bitset chunks' word-AND
+//      on the dense half.
 //   2. End-to-end: sequential Eclat wall time per kernel on a
 //      T10.I4-style Quest database (avg pattern length 4, N = 1000) and
-//      on a dense variant (N = 64) where the bitset representation
-//      engages; itemset counts are cross-checked for identity.
+//      on a dense variant (N = 64) where the bitset chunks engage;
+//      itemset counts are cross-checked for identity.
 //
 // Writes a JSON trajectory to BENCH_kernels.json so the ratios are
 // comparable across commits.
@@ -201,9 +202,9 @@ int main(int argc, char** argv) {
 
   // ---- Micro: density sweep over a 256K universe (4 chunks) ------------
   // The grid brackets every representation boundary: the chunked entry
-  // threshold (1/1024 ≈ 0.001), the dense entry (1/128 ≈ 0.008), and the
-  // mid band (0.016–0.0625) where the result of a dense AND leaves the
-  // dense stay band and the conversion discipline is priced.
+  // threshold (1/1024 ≈ 0.001), the chunk's bitset entry (1/128 ≈
+  // 0.008), and the mid band (0.016–0.0625) where the result of a bitset
+  // AND falls under the bitset entry and the chunk's stay band is priced.
   constexpr Tid kUniverse = 1 << 18;
   constexpr double kDensities[] = {0.001, 0.002, 0.004,  0.008, 0.016, 0.03,
                                    0.045, 0.0625, 0.1,   0.25,  0.5};
@@ -285,7 +286,7 @@ int main(int argc, char** argv) {
         sparse, support));
 
     gen::QuestConfig dense = sparse;  // same shape, 64-item catalog: tid
-    dense.num_items = 64;             // lists go dense, the bitset engages
+    dense.num_items = 64;             // lists go dense, bitset chunks engage
     dense.num_patterns = 200;
     dense.seed = 2005;
     runs.push_back(run_end_to_end(

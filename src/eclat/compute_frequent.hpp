@@ -3,8 +3,9 @@
 // class, by pairwise tid-list intersection. Only the atoms of one class at
 // one level are alive at a time, which is what makes Eclat main-memory
 // frugal (paper §5.3). The recursion runs over TidArena scratch buffers,
-// so steady-state mining allocates nothing; kernels (including the dense
-// bitset and the adaptive auto dispatch) come from vertical/tidset.hpp.
+// so steady-state mining allocates nothing; kernels (including the
+// chunked bitset containers and the adaptive auto dispatch) come from
+// vertical/tidset.hpp.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,7 @@ struct Atom {
 };
 
 /// Smallest universe covering every tid of `class_atoms` (max tid + 1);
-/// the bitset width the dense kernels use for this class.
+/// the universe every chunked set of this class is built over.
 Tid class_universe(const std::vector<Atom>& class_atoms);
 
 /// Enumerate all frequent itemsets strictly larger than the atoms of
@@ -56,8 +57,9 @@ void compute_frequent(const std::vector<Atom>& class_atoms, Count minsup,
 
 /// Single intersection through the selected kernel, on plain tid-lists.
 /// Returns an empty optional when the result provably misses `minsup`.
-/// For the dense kernels (kBitset, and kAuto when it picks the bitset)
-/// the universe is taken as max(a.back(), b.back()) + 1.
+/// For the chunked kernels (kBitset, kChunked, and kAuto when it picks
+/// the chunked representation) the universe is taken as
+/// max(a.back(), b.back()) + 1.
 std::optional<TidList> intersect_with_kernel(const TidList& a,
                                              const TidList& b, Count minsup,
                                              IntersectKernel kernel,

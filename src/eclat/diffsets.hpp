@@ -9,8 +9,8 @@
 // tidsets they replace. The recursion enters from ordinary tid-list atoms
 // (the L2 equivalence-class members) and switches representation at the
 // first join: d(XY) = t(X) \ t(Y). Diffsets run over the same adaptive
-// TidSet representations as the intersection path: the dense kernel is a
-// word-wise AND-NOT with the same budget bound.
+// TidSet representations as the intersection path: a bitset chunk pair
+// is a word-wise AND-NOT with the same budget bound.
 #pragma once
 
 #include "eclat/compute_frequent.hpp"
@@ -29,8 +29,8 @@ struct DiffAtom {
 /// representation internally. `class_atoms` are tid-list atoms exactly as
 /// for compute_frequent. Stats count diffset elements (or bitset words)
 /// actually scanned. Sparse kernels all use the bounded merge difference
-/// (galloping has no difference analogue); kBitset/kAuto use the dense
-/// AND-NOT where the representation allows.
+/// (galloping has no difference analogue); kBitset/kChunked/kAuto use the
+/// chunked container's AND-NOT where the representation allows.
 void compute_frequent_diffsets(const std::vector<Atom>& class_atoms,
                                Count minsup, IntersectKernel kernel,
                                TidArena& arena,

@@ -19,8 +19,8 @@ struct EclatConfig {
   /// Mine with diffsets (dEclat) instead of tid-list intersections —
   /// identical results, smaller intermediate sets on dense data. The
   /// `kernel` selection applies to the difference kernels too: sparse
-  /// kernels use the bounded merge difference, kBitset/kAuto the dense
-  /// AND-NOT.
+  /// kernels use the bounded merge difference, kBitset/kChunked/kAuto the
+  /// chunked container's AND-NOT.
   bool use_diffsets = false;
   /// Also report frequent 1-itemsets. The paper's Eclat never counts
   /// singletons (§5.1); they are counted here in the same pass as the pairs

@@ -111,9 +111,10 @@ class TidArena {
   /// Memory-pressure relief, called from a MiningGuard checkpoint (so no
   /// scratch() reference is outstanding): slots past each level's `used`
   /// cursor hold only dead data and are released outright; live slots are
-  /// demoted to the chunked representation over the class universe given
+  /// demoted to compact chunked containers over the class universe given
   /// to begin_class, when `demote_live` allows it (kAuto/kChunked kernels
-  /// — the forced sparse/dense kernels must keep their representation).
+  /// — the paper's sparse kernels and kBitset's bitset-only containers
+  /// must keep their representation).
   /// Returns the number of sets demoted. The arena stays structurally
   /// valid: mining continues on the demoted sets through the
   /// mixed-representation kernels, next to undemoted siblings over the

@@ -5,10 +5,10 @@
 // arena is outstanding. The degradation ladder, in order:
 //
 //   1. relieve: dead slots (past each level's `used` cursor) are
-//      released outright; live tid-sets are demoted to the chunked
-//      representation when the active kernel dispatches mixed
-//      representations (kAuto/kChunked) — u16 containers roughly halve
-//      a sparse list's bytes and drop a dense bitmap's empty chunks;
+//      released outright; live tid-sets are demoted to compact chunked
+//      containers when the active kernel dispatches mixed
+//      representations (kAuto/kChunked) — u16 arrays roughly halve a
+//      sparse list's bytes and replace every bitset chunk they undercut;
 //   2. fail the class: still over budget after relief, the checkpoint
 //      throws ClassMemoryExceeded — a TaskFailure, so only this class's
 //      attempt dies. The worker drops its arena caches (the backend
@@ -48,8 +48,8 @@ class ClassMemoryExceeded final : public TaskFailure {
 class ArenaBudget {
  public:
   /// `demotable` — the active kernel tolerates representation demotion
-  /// (kAuto/kChunked); forced sparse/dense kernels skip straight to
-  /// failing the class.
+  /// (kAuto/kChunked); the paper's sparse kernels and kBitset skip
+  /// straight to failing the class.
   ArenaBudget(TidArena& arena, std::size_t budget_bytes, bool demotable)
       : arena_(arena), budget_(budget_bytes), demotable_(demotable) {}
 

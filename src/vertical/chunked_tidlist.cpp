@@ -1,7 +1,6 @@
 #include "vertical/chunked_tidlist.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "common/check.hpp"
 #include "vertical/simd/dispatch.hpp"
@@ -19,23 +18,86 @@ bool word_bit(std::span<const std::uint64_t> words, std::uint16_t v) {
          (words[w] >> (v & 63) & std::uint64_t{1}) != 0;
 }
 
-/// Decode set bits of `words` into `out` as u16 positions. Only reached
-/// when the payload stays an array container, so the result is bounded
-/// by the array/bitset threshold; it rides the dispatched u32 decode and
-/// narrows (chunk-local positions always fit 16 bits).
-std::size_t decode_words_u16(std::span<const std::uint64_t> words,
-                             std::uint16_t* out) {
-  std::uint32_t buf[1024];
+/// Most tids an array chunk holds under any container rule: the compact
+/// rule keeps arrays up to 4 tids per word of a full 2^16-tid chunk.
+constexpr std::size_t kMaxArrayTids = 4 * (std::size_t{1} << 16) / 64;
+
+/// Decode the `card` set bits of `words` into `out` as u16 positions.
+/// Only reached when the payload becomes an array container, so `card`
+/// is bounded by the array/bitset threshold; it rides the dispatched u32
+/// decode and narrows (chunk-local positions always fit 16 bits).
+void decode_words_u16(std::span<const std::uint64_t> words, std::size_t card,
+                      std::uint16_t* out) {
+  ECLAT_CHECK(card <= kMaxArrayTids);
+  std::uint32_t buf[kMaxArrayTids];
   const std::size_t k =
       simd::kernels().decode_words(words.data(), words.size(), 0, buf);
-  ECLAT_DCHECK(k <= 1024);
+  ECLAT_DCHECK(k == card);
   for (std::size_t i = 0; i < k; ++i) {
     out[i] = static_cast<std::uint16_t>(buf[i]);
   }
-  return k;
 }
 
+/// Σ min(|a_k|, |b_k|) over the chunk keys a and b share: the upper bound
+/// on |a ∩ b| checked before any chunk is scanned.
+template <typename Chunks>
+std::size_t common_chunk_bound(const Chunks& a, const Chunks& b) {
+  std::size_t bound = 0;
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  while (ia < a.size() && ib < b.size()) {
+    if (a[ia].key < b[ib].key) {
+      ++ia;
+    } else if (b[ib].key < a[ia].key) {
+      ++ib;
+    } else {
+      bound += std::min(a[ia].cardinality, b[ib].cardinality);
+      ++ia;
+      ++ib;
+    }
+  }
+  return bound;
+}
+
+/// How many tids the current chunk must still contribute: minsup less
+/// what is already counted and what the later chunks can add at most.
+std::size_t chunk_need(Count minsup, std::size_t count, std::size_t rest) {
+  const std::size_t have = count + rest;
+  return minsup > have ? static_cast<std::size_t>(minsup - have) : 0;
+}
+
+/// Words per bound check inside a bitset chunk. The word kernels come
+/// from the runtime-dispatched SIMD table, so a chunk's AND runs in
+/// blocks and the bound is evaluated between them: a proof either way,
+/// so the block size only decides how many words an abort scans first.
+constexpr std::size_t kBoundBlockWords = 64;
+
 }  // namespace
+
+std::size_t ChunkedTidList::span_of(std::uint16_t key) const {
+  const std::size_t base = std::size_t{key} * kChunkSpan;
+  ECLAT_DCHECK(base < universe_);
+  return std::min(kChunkSpan, std::size_t{universe_} - base);
+}
+
+bool ChunkedTidList::bitset_at(std::uint16_t key, std::size_t card) const {
+  switch (rule_) {
+    case ContainerRule::kByDensity:
+      return card * kBitsetDensity >= span_of(key);
+    case ContainerRule::kBitsetOnly:
+      return card > 0;
+    case ContainerRule::kCompact:
+      // 2 bytes per array element against 8 per bitset word.
+      return card > 4 * words_for(key);
+  }
+  ECLAT_UNREACHABLE("unknown ContainerRule");
+}
+
+bool ChunkedTidList::keeps_bitset(std::uint16_t key, std::size_t card) const {
+  if (rule_ == ContainerRule::kBitsetOnly) return true;
+  if (rule_ == ContainerRule::kCompact) return bitset_at(key, card);
+  return card * kBitsetDensity * kStayBand >= span_of(key);
+}
 
 std::span<const std::uint16_t> ChunkedTidList::array_of(const Chunk& c) const {
   ECLAT_DCHECK(c.type == ContainerType::kArray);
@@ -44,21 +106,23 @@ std::span<const std::uint16_t> ChunkedTidList::array_of(const Chunk& c) const {
 
 std::span<const std::uint64_t> ChunkedTidList::words_of(const Chunk& c) const {
   ECLAT_DCHECK(c.type == ContainerType::kBitset);
-  return {word_pool_.data() + c.offset, kChunkWords};
+  return {word_pool_.data() + c.offset, words_for(c.key)};
 }
 
-void ChunkedTidList::reset(Tid universe) {
+void ChunkedTidList::reset(Tid universe, ContainerRule rule) {
   chunks_.clear();
   u16_pool_.clear();
-  word_pool_.clear();
+  words_used_ = 0;
   universe_ = universe;
   count_ = 0;
+  rule_ = rule;
 }
 
-void ChunkedTidList::assign(std::span<const Tid> tids, Tid universe) {
+void ChunkedTidList::assign(std::span<const Tid> tids, Tid universe,
+                            ContainerRule rule) {
   ECLAT_DCHECK(is_valid_tidlist(tids));
   ECLAT_DCHECK(tids.empty() || tids.back() < universe);
-  reset(universe);
+  reset(universe, rule);
   const std::size_t n = tids.size();
   std::size_t i = 0;
   while (i < n) {
@@ -66,9 +130,8 @@ void ChunkedTidList::assign(std::span<const Tid> tids, Tid universe) {
     std::size_t j = i + 1;
     while (j < n && (tids[j] >> 16) == key) ++j;
     const std::size_t card = j - i;
-    if (card >= kBitsetChunkMin) {
-      const auto offset = static_cast<std::uint32_t>(word_pool_.size());
-      word_pool_.resize(offset + kChunkWords);  // value-init: zeroed
+    if (bitset_at(key, card)) {
+      const std::uint32_t offset = stage_zeroed_words(key);
       for (std::size_t k = i; k < j; ++k) {
         const std::uint16_t v = low16(tids[k]);
         word_pool_[offset + (v >> 6)] |= std::uint64_t{1} << (v & 63);
@@ -76,8 +139,7 @@ void ChunkedTidList::assign(std::span<const Tid> tids, Tid universe) {
       chunks_.push_back({key, ContainerType::kBitset, offset,
                          static_cast<std::uint32_t>(card)});
     } else {
-      const auto offset = static_cast<std::uint32_t>(u16_pool_.size());
-      u16_pool_.resize(offset + card);
+      const std::uint32_t offset = stage_u16(card);
       for (std::size_t k = i; k < j; ++k) {
         u16_pool_[offset + (k - i)] = low16(tids[k]);
       }
@@ -87,65 +149,6 @@ void ChunkedTidList::assign(std::span<const Tid> tids, Tid universe) {
     count_ += card;
     i = j;
   }
-}
-
-void ChunkedTidList::assign_from_words(std::span<const std::uint64_t> words,
-                                       Tid universe, std::size_t count) {
-  reset(universe);
-  // Conversion path: chunks come out array or bitset by cardinality, as
-  // on the sorted-list assign. The per-slice
-  // popcount rides the dispatched word kernel (self-AND with no output
-  // is a pure popcount), so this conversion — which normalize() runs on
-  // every dense result that leaves the dense stay band — costs a SIMD
-  // scan, not a scalar one.
-  const simd::KernelTable& kt = simd::kernels();
-  if (count < kBitsetChunkMin) {
-    // No chunk can reach the bitset threshold when the whole list is
-    // below it, so the popcount pre-pass would only re-derive what the
-    // decode returns anyway: decode every slice straight into the array
-    // pool in one pass. This is the hot demotion shape — a dense
-    // intersection result that fell out of the dense stay band is almost
-    // always this sparse.
-    u16_pool_.resize(count);
-    for (std::size_t w0 = 0; w0 < words.size(); w0 += kChunkWords) {
-      const std::size_t wn = std::min(kChunkWords, words.size() - w0);
-      const auto card =
-          decode_words_u16(words.subspan(w0, wn), u16_pool_.data() + count_);
-      if (card == 0) continue;
-      chunks_.push_back({static_cast<std::uint16_t>(w0 / kChunkWords),
-                         ContainerType::kArray,
-                         static_cast<std::uint32_t>(count_),
-                         static_cast<std::uint32_t>(card)});
-      count_ += card;
-    }
-    ECLAT_DCHECK(count_ == count);
-    count_ = count;
-    return;
-  }
-  for (std::size_t w0 = 0; w0 < words.size(); w0 += kChunkWords) {
-    const std::size_t wn = std::min(kChunkWords, words.size() - w0);
-    const auto slice = words.subspan(w0, wn);
-    const auto card = static_cast<std::size_t>(
-        kt.and_words(slice.data(), slice.data(), nullptr, wn));
-    if (card == 0) continue;
-    const auto key = static_cast<std::uint16_t>(w0 / kChunkWords);
-    if (card >= kBitsetChunkMin) {
-      const auto offset = static_cast<std::uint32_t>(word_pool_.size());
-      word_pool_.resize(offset + kChunkWords);
-      std::copy(slice.begin(), slice.end(), word_pool_.begin() + offset);
-      chunks_.push_back({key, ContainerType::kBitset, offset,
-                         static_cast<std::uint32_t>(card)});
-    } else {
-      const auto offset = static_cast<std::uint32_t>(u16_pool_.size());
-      u16_pool_.resize(offset + card);
-      decode_words_u16(slice, u16_pool_.data() + offset);
-      chunks_.push_back({key, ContainerType::kArray, offset,
-                         static_cast<std::uint32_t>(card)});
-    }
-    count_ += card;
-  }
-  ECLAT_DCHECK(count_ == count);
-  count_ = count;
 }
 
 ChunkedTidList::ContainerHistogram ChunkedTidList::histogram() const {
@@ -197,44 +200,6 @@ TidList ChunkedTidList::to_tidlist() const {
   return out;
 }
 
-void ChunkedTidList::write_words(std::span<std::uint64_t> words) const {
-  for (const Chunk& c : chunks_) {
-    const std::size_t w0 = std::size_t{c.key} * kChunkWords;
-    if (c.type == ContainerType::kArray) {
-      for (const std::uint16_t v : array_of(c)) {
-        words[w0 + (v >> 6)] |= std::uint64_t{1} << (v & 63);
-      }
-      continue;
-    }
-    const auto ws = words_of(c);
-    const std::size_t wn = std::min(ws.size(), words.size() - w0);
-    for (std::size_t w = 0; w < wn; ++w) words[w0 + w] |= ws[w];
-  }
-}
-
-std::size_t ChunkedTidList::clear_words(std::span<std::uint64_t> words) const {
-  std::size_t cleared = 0;
-  for (const Chunk& c : chunks_) {
-    const std::size_t w0 = std::size_t{c.key} * kChunkWords;
-    std::uint64_t* dst = words.data() + w0;
-    if (c.type == ContainerType::kArray) {
-      for (const std::uint16_t v : array_of(c)) {
-        const std::uint64_t bit = std::uint64_t{1} << (v & 63);
-        cleared += static_cast<std::size_t>((dst[v >> 6] & bit) != 0);
-        dst[v >> 6] &= ~bit;
-      }
-      continue;
-    }
-    const auto ws = words_of(c);
-    const std::size_t wn = std::min(ws.size(), words.size() - w0);
-    for (std::size_t w = 0; w < wn; ++w) {
-      cleared += static_cast<std::size_t>(std::popcount(dst[w] & ws[w]));
-      dst[w] &= ~ws[w];
-    }
-  }
-  return cleared;
-}
-
 std::uint32_t ChunkedTidList::stage_u16(std::size_t capacity) {
   const auto offset = static_cast<std::uint32_t>(u16_pool_.size());
   u16_pool_.resize(offset + capacity);
@@ -247,9 +212,8 @@ void ChunkedTidList::emit_array(std::uint16_t key, std::uint32_t offset,
     u16_pool_.resize(offset);
     return;
   }
-  if (card >= kBitsetChunkMin) {
-    const auto woff = static_cast<std::uint32_t>(word_pool_.size());
-    word_pool_.resize(woff + kChunkWords);
+  if (bitset_at(key, card)) {
+    const std::uint32_t woff = stage_zeroed_words(key);
     for (std::size_t k = 0; k < card; ++k) {
       const std::uint16_t v = u16_pool_[offset + k];
       word_pool_[woff + (v >> 6)] |= std::uint64_t{1} << (v & 63);
@@ -265,23 +229,31 @@ void ChunkedTidList::emit_array(std::uint16_t key, std::uint32_t offset,
   count_ += card;
 }
 
-std::uint32_t ChunkedTidList::stage_words() {
-  const auto offset = static_cast<std::uint32_t>(word_pool_.size());
-  word_pool_.resize(offset + kChunkWords);  // value-init: zeroed
+std::uint32_t ChunkedTidList::stage_words(std::uint16_t key) {
+  const auto offset = static_cast<std::uint32_t>(words_used_);
+  words_used_ += words_for(key);
+  if (word_pool_.size() < words_used_) word_pool_.resize(words_used_);
+  return offset;
+}
+
+std::uint32_t ChunkedTidList::stage_zeroed_words(std::uint16_t key) {
+  const std::uint32_t offset = stage_words(key);
+  std::fill(word_pool_.begin() + offset, word_pool_.begin() + words_used_,
+            std::uint64_t{0});
   return offset;
 }
 
 void ChunkedTidList::emit_words(std::uint16_t key, std::uint32_t offset,
                                 std::size_t card) {
   if (card == 0) {
-    word_pool_.resize(offset);
+    words_used_ = offset;
     return;
   }
-  if (card < kBitsetChunkMin) {
+  if (!keeps_bitset(key, card)) {
     const std::uint32_t aoff = stage_u16(card);
-    decode_words_u16({word_pool_.data() + offset, kChunkWords},
+    decode_words_u16({word_pool_.data() + offset, words_for(key)}, card,
                      u16_pool_.data() + aoff);
-    word_pool_.resize(offset);
+    words_used_ = offset;
     chunks_.push_back({key, ContainerType::kArray, aoff,
                        static_cast<std::uint32_t>(card)});
   } else {
@@ -298,28 +270,25 @@ void ChunkedTidList::copy_chunk(const ChunkedTidList& src, const Chunk& c) {
     std::copy_n(src.u16_pool_.data() + c.offset, c.cardinality,
                 u16_pool_.data() + offset);
   } else {
-    offset = stage_words();
-    std::copy_n(src.word_pool_.data() + c.offset, kChunkWords,
-                word_pool_.data() + offset);
+    offset = stage_words(c.key);
+    const auto ws = src.words_of(c);
+    std::copy(ws.begin(), ws.end(), word_pool_.begin() + offset);
   }
   chunks_.push_back({c.key, c.type, offset, c.cardinality});
   count_ += c.cardinality;
 }
 
-void ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
+bool ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
                               const Chunk& cb, const ChunkedTidList& b,
-                              IntersectStats* stats) {
+                              std::size_t need, IntersectStats* stats) {
   ECLAT_DCHECK(ca.key == cb.key);
-  // Order the operands array before bitset (both kernels are symmetric),
-  // so a bitset operand is always cb: a full word slice for the
-  // chunk-by-words kernel.
-  if (static_cast<int>(ca.type) > static_cast<int>(cb.type)) {
-    and_pair(cb, b, ca, a, stats);
-    return;
-  }
+  // Both kernels are symmetric: a bitset operand goes to the chunk-by-words
+  // kernel as its word slice, against the other chunk in either container.
   if (cb.type == ContainerType::kBitset) {
-    and_chunk_words(ca, a, b.words_of(cb), stats);
-    return;
+    return and_chunk_words(ca, a, b.words_of(cb), need, stats);
+  }
+  if (ca.type == ContainerType::kBitset) {
+    return and_chunk_words(cb, b, a.words_of(ca), need, stats);
   }
   const auto av = a.array_of(ca);
   const auto bv = b.array_of(cb);
@@ -331,19 +300,18 @@ void ChunkedTidList::and_pair(const Chunk& ca, const ChunkedTidList& a,
       stats != nullptr ? &visited : nullptr);
   if (stats != nullptr) stats->tids_scanned += visited;
   emit_array(ca.key, off, k);
+  return true;
 }
 
-std::size_t ChunkedTidList::and_pair_count(const Chunk& ca,
-                                           const ChunkedTidList& a,
-                                           const Chunk& cb,
-                                           const ChunkedTidList& b,
-                                           IntersectStats* stats) {
+std::optional<std::size_t> ChunkedTidList::and_pair_count(
+    const Chunk& ca, const ChunkedTidList& a, const Chunk& cb,
+    const ChunkedTidList& b, std::size_t need, IntersectStats* stats) {
   ECLAT_DCHECK(ca.key == cb.key);
-  if (static_cast<int>(ca.type) > static_cast<int>(cb.type)) {
-    return and_pair_count(cb, b, ca, a, stats);
-  }
   if (cb.type == ContainerType::kBitset) {
-    return and_chunk_words_count(ca, a, b.words_of(cb), stats);
+    return and_chunk_words_count(ca, a, b.words_of(cb), need, stats);
+  }
+  if (ca.type == ContainerType::kBitset) {
+    return and_chunk_words_count(cb, b, a.words_of(ca), need, stats);
   }
   const auto av = a.array_of(ca);
   const auto bv = b.array_of(cb);
@@ -360,25 +328,8 @@ bool ChunkedTidList::assign_and_bounded(const ChunkedTidList& a,
                                         IntersectStats* stats) {
   ECLAT_DCHECK(this != &a && this != &b);
   ECLAT_DCHECK(a.universe_ == b.universe_);
-  reset(a.universe_);
-  // Upper bound on the result: Σ min(|a_k|, |b_k|) over common chunks.
-  std::size_t bound = 0;
-  {
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    while (ia < a.chunks_.size() && ib < b.chunks_.size()) {
-      if (a.chunks_[ia].key < b.chunks_[ib].key) {
-        ++ia;
-      } else if (b.chunks_[ib].key < a.chunks_[ia].key) {
-        ++ib;
-      } else {
-        bound += std::min(a.chunks_[ia].cardinality,
-                          b.chunks_[ib].cardinality);
-        ++ia;
-        ++ib;
-      }
-    }
-  }
+  reset(a.universe_, a.rule_);
+  std::size_t bound = common_chunk_bound(a.chunks_, b.chunks_);
   if (bound < minsup) {
     if (stats != nullptr) ++stats->short_circuited;
     return false;
@@ -397,13 +348,13 @@ bool ChunkedTidList::assign_and_bounded(const ChunkedTidList& a,
       continue;
     }
     bound -= std::min(ca.cardinality, cb.cardinality);
-    and_pair(ca, a, cb, b, stats);
     ++ia;
     ++ib;
-    // Chunk-granular short-circuit: the bound is a proof, so checking it
-    // only between chunks never changes the boolean outcome, just how
-    // early an abort fires.
-    if (count_ + bound < minsup) {
+    // The bound is a proof, so checking it between chunks and every 64
+    // words inside a bitset chunk never changes the boolean outcome,
+    // just how early an abort fires.
+    if (!and_pair(ca, a, cb, b, chunk_need(minsup, count_, bound), stats) ||
+        count_ + bound < minsup) {
       if (stats != nullptr) ++stats->short_circuited;
       return false;
     }
@@ -416,23 +367,7 @@ std::optional<std::size_t> ChunkedTidList::and_count(const ChunkedTidList& a,
                                                      Count minsup,
                                                      IntersectStats* stats) {
   ECLAT_DCHECK(a.universe_ == b.universe_);
-  std::size_t bound = 0;
-  {
-    std::size_t ia = 0;
-    std::size_t ib = 0;
-    while (ia < a.chunks_.size() && ib < b.chunks_.size()) {
-      if (a.chunks_[ia].key < b.chunks_[ib].key) {
-        ++ia;
-      } else if (b.chunks_[ib].key < a.chunks_[ia].key) {
-        ++ib;
-      } else {
-        bound += std::min(a.chunks_[ia].cardinality,
-                          b.chunks_[ib].cardinality);
-        ++ia;
-        ++ib;
-      }
-    }
-  }
+  std::size_t bound = common_chunk_bound(a.chunks_, b.chunks_);
   if (bound < minsup) {
     if (stats != nullptr) ++stats->short_circuited;
     return std::nullopt;
@@ -452,10 +387,12 @@ std::optional<std::size_t> ChunkedTidList::and_count(const ChunkedTidList& a,
       continue;
     }
     bound -= std::min(ca.cardinality, cb.cardinality);
-    count += and_pair_count(ca, a, cb, b, stats);
     ++ia;
     ++ib;
-    if (count + bound < minsup) {
+    const std::optional<std::size_t> k = and_pair_count(
+        ca, a, cb, b, chunk_need(minsup, count, bound), stats);
+    if (k) count += *k;
+    if (!k || count + bound < minsup) {
       if (stats != nullptr) ++stats->short_circuited;
       return std::nullopt;
     }
@@ -464,17 +401,18 @@ std::optional<std::size_t> ChunkedTidList::and_count(const ChunkedTidList& a,
   return count;
 }
 
-void ChunkedTidList::andnot_pair(const Chunk& ca, const ChunkedTidList& a,
+bool ChunkedTidList::andnot_pair(const Chunk& ca, const ChunkedTidList& a,
                                  const Chunk& cb, const ChunkedTidList& b,
+                                 std::size_t allowance,
                                  IntersectStats* stats) {
   ECLAT_DCHECK(ca.key == cb.key);
   if (cb.type == ContainerType::kBitset) {
-    andnot_chunk_words(ca, a, b.words_of(cb), stats);
-    return;
+    return andnot_chunk_words(ca, a, b.words_of(cb), allowance, stats);
   }
   const auto bv = b.array_of(cb);
   andnot_chunk_sparse(
       ca, a, bv.size(), [bv](std::size_t i) { return bv[i]; }, stats);
+  return true;
 }
 
 bool ChunkedTidList::assign_andnot_bounded(const ChunkedTidList& a,
@@ -483,14 +421,16 @@ bool ChunkedTidList::assign_andnot_bounded(const ChunkedTidList& a,
                                            IntersectStats* stats) {
   ECLAT_DCHECK(this != &a && this != &b);
   ECLAT_DCHECK(a.universe_ == b.universe_);
-  reset(a.universe_);
+  reset(a.universe_, a.rule_);
   std::size_t ia = 0;
   std::size_t ib = 0;
   while (ia < a.chunks_.size()) {
     const Chunk& ca = a.chunks_[ia];
     while (ib < b.chunks_.size() && b.chunks_[ib].key < ca.key) ++ib;
     if (ib < b.chunks_.size() && b.chunks_[ib].key == ca.key) {
-      andnot_pair(ca, a, b.chunks_[ib], b, stats);
+      if (!andnot_pair(ca, a, b.chunks_[ib], b, budget - count_, stats)) {
+        return false;
+      }
       ++ib;
     } else {
       copy_chunk(a, ca);
@@ -502,8 +442,9 @@ bool ChunkedTidList::assign_andnot_bounded(const ChunkedTidList& a,
   return true;
 }
 
-void ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
+bool ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
                                      std::span<const std::uint64_t> bw,
+                                     std::size_t need,
                                      IntersectStats* stats) {
   if (ca.type == ContainerType::kArray) {
     const auto av = a.array_of(ca);
@@ -514,22 +455,35 @@ void ChunkedTidList::and_chunk_words(const Chunk& ca, const ChunkedTidList& a,
     }
     if (stats != nullptr) stats->tids_scanned += av.size();
     emit_array(ca.key, off, k);
-    return;
+    return true;
   }
   const auto aw = a.words_of(ca);
-  const std::uint32_t off = stage_words();
-  const std::size_t wn = std::min(aw.size(), bw.size());
-  // Chunk bits past the universe are never set, so ANDing only the
-  // slice's words is exact; the staged words beyond wn stay zero.
-  const std::uint64_t k = simd::kernels().and_words(
-      aw.data(), bw.data(), word_pool_.data() + off, wn);
-  if (stats != nullptr) stats->words_scanned += wn;
-  emit_words(ca.key, off, static_cast<std::size_t>(k));
+  ECLAT_DCHECK(aw.size() == bw.size());
+  const std::size_t n = aw.size();
+  const std::uint32_t off = stage_words(ca.key);
+  const simd::KernelTable& kt = simd::kernels();
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < n; w += kBoundBlockWords) {
+    const std::size_t m = std::min(kBoundBlockWords, n - w);
+    k += static_cast<std::size_t>(kt.and_words(
+        aw.data() + w, bw.data() + w, word_pool_.data() + off + w, m));
+    // Even if every remaining bit survives, the chunk caps at
+    // k + 64 · (words remaining).
+    if (k + 64 * (n - w - m) < need) {
+      if (stats != nullptr) stats->words_scanned += w + m;
+      words_used_ = off;
+      return false;
+    }
+  }
+  if (stats != nullptr) stats->words_scanned += n;
+  emit_words(ca.key, off, k);
+  return true;
 }
 
-std::size_t ChunkedTidList::and_chunk_words_count(
+std::optional<std::size_t> ChunkedTidList::and_chunk_words_count(
     const Chunk& ca, const ChunkedTidList& a,
-    std::span<const std::uint64_t> bw, IntersectStats* stats) {
+    std::span<const std::uint64_t> bw, std::size_t need,
+    IntersectStats* stats) {
   if (ca.type == ContainerType::kArray) {
     const auto av = a.array_of(ca);
     std::size_t k = 0;
@@ -540,16 +494,27 @@ std::size_t ChunkedTidList::and_chunk_words_count(
     return k;
   }
   const auto aw = a.words_of(ca);
-  const std::size_t wn = std::min(aw.size(), bw.size());
-  const std::uint64_t k =
-      simd::kernels().and_words(aw.data(), bw.data(), nullptr, wn);
-  if (stats != nullptr) stats->words_scanned += wn;
-  return static_cast<std::size_t>(k);
+  ECLAT_DCHECK(aw.size() == bw.size());
+  const std::size_t n = aw.size();
+  const simd::KernelTable& kt = simd::kernels();
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < n; w += kBoundBlockWords) {
+    const std::size_t m = std::min(kBoundBlockWords, n - w);
+    k += static_cast<std::size_t>(
+        kt.and_words(aw.data() + w, bw.data() + w, nullptr, m));
+    if (k + 64 * (n - w - m) < need) {
+      if (stats != nullptr) stats->words_scanned += w + m;
+      return std::nullopt;
+    }
+  }
+  if (stats != nullptr) stats->words_scanned += n;
+  return k;
 }
 
-void ChunkedTidList::andnot_chunk_words(const Chunk& ca,
+bool ChunkedTidList::andnot_chunk_words(const Chunk& ca,
                                         const ChunkedTidList& a,
                                         std::span<const std::uint64_t> bw,
+                                        std::size_t allowance,
                                         IntersectStats* stats) {
   if (ca.type == ContainerType::kArray) {
     const auto av = a.array_of(ca);
@@ -560,20 +525,27 @@ void ChunkedTidList::andnot_chunk_words(const Chunk& ca,
     }
     if (stats != nullptr) stats->tids_scanned += av.size();
     emit_array(ca.key, off, k);
-    return;
+    return true;
   }
   const auto aw = a.words_of(ca);
-  const std::uint32_t off = stage_words();
-  const std::size_t wn = std::min(aw.size(), bw.size());
-  std::uint64_t k = simd::kernels().andnot_words(aw.data(), bw.data(),
-                                                 word_pool_.data() + off, wn);
-  // Chunk words past the slice carry bits b cannot contain.
-  for (std::size_t w = wn; w < aw.size(); ++w) {
-    word_pool_[off + w] = aw[w];
-    k += static_cast<std::uint64_t>(std::popcount(aw[w]));
+  ECLAT_DCHECK(aw.size() == bw.size());
+  const std::size_t n = aw.size();
+  const std::uint32_t off = stage_words(ca.key);
+  const simd::KernelTable& kt = simd::kernels();
+  std::size_t k = 0;
+  for (std::size_t w = 0; w < n; w += kBoundBlockWords) {
+    const std::size_t m = std::min(kBoundBlockWords, n - w);
+    k += static_cast<std::size_t>(kt.andnot_words(
+        aw.data() + w, bw.data() + w, word_pool_.data() + off + w, m));
+    if (k > allowance) {
+      if (stats != nullptr) stats->words_scanned += w + m;
+      words_used_ = off;
+      return false;
+    }
   }
-  if (stats != nullptr) stats->words_scanned += wn;
-  emit_words(ca.key, off, static_cast<std::size_t>(k));
+  if (stats != nullptr) stats->words_scanned += n;
+  emit_words(ca.key, off, k);
+  return true;
 }
 
 template <typename Get>
@@ -605,7 +577,7 @@ void ChunkedTidList::andnot_chunk_sparse(const Chunk& ca,
   // Bitset minuend: copy its words into the staged output and clear the
   // subtrahend's bits in place.
   const auto aw = a.words_of(ca);
-  const std::uint32_t off = stage_words();
+  const std::uint32_t off = stage_words(ca.key);
   std::uint64_t* dst = word_pool_.data() + off;
   std::copy(aw.begin(), aw.end(), dst);
   std::size_t k = ca.cardinality;
@@ -616,78 +588,10 @@ void ChunkedTidList::andnot_chunk_sparse(const Chunk& ca,
     dst[v >> 6] &= ~bit;
   }
   if (stats != nullptr) {
-    stats->words_scanned += kChunkWords;
+    stats->words_scanned += aw.size();
     stats->tids_scanned += bn;
   }
   emit_words(ca.key, off, k);
-}
-
-bool ChunkedTidList::assign_and_bits_bounded(const ChunkedTidList& a,
-                                             const BitsetTidList& b,
-                                             Count minsup,
-                                             IntersectStats* stats) {
-  ECLAT_DCHECK(this != &a);
-  ECLAT_DCHECK(a.universe_ == b.universe());
-  reset(a.universe_);
-  if (std::min(a.count_, b.count()) < minsup) {
-    if (stats != nullptr) ++stats->short_circuited;
-    return false;
-  }
-  const auto bw = b.words();
-  std::size_t bound = a.count_;
-  for (const Chunk& ca : a.chunks_) {
-    bound -= ca.cardinality;
-    const std::size_t w0 = std::size_t{ca.key} * kChunkWords;
-    const std::size_t wn = std::min(kChunkWords, bw.size() - w0);
-    and_chunk_words(ca, a, bw.subspan(w0, wn), stats);
-    if (count_ + bound < minsup) {
-      if (stats != nullptr) ++stats->short_circuited;
-      return false;
-    }
-  }
-  return count_ >= minsup;
-}
-
-std::optional<std::size_t> ChunkedTidList::and_count_bits(
-    const ChunkedTidList& a, const BitsetTidList& b, Count minsup,
-    IntersectStats* stats) {
-  ECLAT_DCHECK(a.universe_ == b.universe());
-  if (std::min(a.count_, b.count()) < minsup) {
-    if (stats != nullptr) ++stats->short_circuited;
-    return std::nullopt;
-  }
-  const auto bw = b.words();
-  std::size_t bound = a.count_;
-  std::size_t count = 0;
-  for (const Chunk& ca : a.chunks_) {
-    bound -= ca.cardinality;
-    const std::size_t w0 = std::size_t{ca.key} * kChunkWords;
-    const std::size_t wn = std::min(kChunkWords, bw.size() - w0);
-    count += and_chunk_words_count(ca, a, bw.subspan(w0, wn), stats);
-    if (count + bound < minsup) {
-      if (stats != nullptr) ++stats->short_circuited;
-      return std::nullopt;
-    }
-  }
-  if (count < minsup) return std::nullopt;
-  return count;
-}
-
-bool ChunkedTidList::assign_andnot_bits_bounded(const ChunkedTidList& a,
-                                                const BitsetTidList& b,
-                                                std::size_t budget,
-                                                IntersectStats* stats) {
-  ECLAT_DCHECK(this != &a);
-  ECLAT_DCHECK(a.universe_ == b.universe());
-  reset(a.universe_);
-  const auto bw = b.words();
-  for (const Chunk& ca : a.chunks_) {
-    const std::size_t w0 = std::size_t{ca.key} * kChunkWords;
-    const std::size_t wn = std::min(kChunkWords, bw.size() - w0);
-    andnot_chunk_words(ca, a, bw.subspan(w0, wn), stats);
-    if (count_ > budget) return false;
-  }
-  return true;
 }
 
 bool ChunkedTidList::assign_minus_sparse(const ChunkedTidList& a,
@@ -696,7 +600,7 @@ bool ChunkedTidList::assign_minus_sparse(const ChunkedTidList& a,
                                          IntersectStats* stats) {
   ECLAT_DCHECK(this != &a);
   ECLAT_DCHECK(is_valid_tidlist(b));
-  reset(a.universe_);
+  reset(a.universe_, a.rule_);
   std::size_t jb = 0;
   for (const Chunk& ca : a.chunks_) {
     const Tid lo = static_cast<Tid>(ca.key) << 16;

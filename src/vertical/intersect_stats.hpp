@@ -21,9 +21,8 @@ struct IntersectStats {
   std::uint64_t tids_scanned = 0;     ///< sparse elements actually visited
   std::uint64_t words_scanned = 0;    ///< bitset words actually ANDed
 
-  // Representation conversions. "Denser" is ordered sparse < chunked <
-  // dense: any conversion toward dense counts as densified, toward
-  // sparse as sparsified, whichever pair of representations is involved.
+  // Representation conversions between sparse and chunked (seeding a
+  // chunked atom counts as densified too).
   std::uint64_t densified = 0;   ///< conversions toward denser reps
   std::uint64_t sparsified = 0;  ///< conversions toward sparser reps
 };

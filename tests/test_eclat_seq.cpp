@@ -274,9 +274,9 @@ TEST(EclatSeq, KernelCountersArePinned) {
       {IntersectKernel::kBitset, false,
        {9893, 2327, 0, 780044, 104, 0}},
       {IntersectKernel::kChunked, false,
-       {9893, 2327, 2480136, 129024, 104, 0}},
+       {9893, 2327, 61918, 341483, 104, 0}},
       {IntersectKernel::kAuto, false,
-       {9893, 2327, 61903, 341483, 101, 32}},
+       {9893, 2327, 61914, 341483, 101, 0}},
       {IntersectKernel::kMerge, true,
        {9893, 2327, 3280741, 0, 0, 0}},
       {IntersectKernel::kMergeShortCircuit, true,
@@ -284,11 +284,11 @@ TEST(EclatSeq, KernelCountersArePinned) {
       {IntersectKernel::kGallop, true,
        {9893, 2327, 3280741, 0, 0, 0}},
       {IntersectKernel::kBitset, true,
-       {9893, 2327, 0, 759339, 104, 0}},
+       {9893, 2327, 0, 684354, 104, 0}},
       {IntersectKernel::kChunked, true,
-       {9893, 2327, 2027091, 384000, 104, 0}},
+       {9893, 2327, 27483, 467140, 104, 0}},
       {IntersectKernel::kAuto, true,
-       {9893, 2327, 25181, 470521, 101, 932}},
+       {9893, 2327, 27480, 467140, 101, 259}},
   };
   simd::override_isa_level(simd::IsaLevel::kScalar);
   const HorizontalDatabase db = small_quest_db(5000, 400, 11);

@@ -413,9 +413,10 @@ TEST(ExecFault, TightBudgetDegradesGracefullyOrAbortsCleanly) {
 
 TEST(ExecFault, NearPeakBudgetDemotesIntoTheClassUniverse) {
   // A budget just under the metered peak demotes some live sets of a
-  // class and leaves their siblings in their dense or chunked form. The
-  // binary kernels then pair a demoted set with an undemoted one, which
-  // is only valid when both share the class universe.
+  // class to compact chunked containers and leaves their siblings in
+  // their sparse or chunked form. The binary kernels then pair a demoted
+  // set with an undemoted one, which is only valid when both share the
+  // class universe.
   gen::QuestConfig quest;
   quest.num_transactions = 20000;
   quest.num_items = 100;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -10,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "eclat/compute_frequent.hpp"
-#include "vertical/bitset_tidlist.hpp"
 #include "vertical/chunked_tidlist.hpp"
 #include "vertical/simd/dispatch.hpp"
 #include "vertical/tidset.hpp"
@@ -179,14 +179,24 @@ std::vector<std::pair<TidList, TidList>> adversarial_pairs() {
   };
 }
 
+// ---- The bitset kernel's container: bitset chunks only ----
+
+/// `tids` as the `bitset` kernel holds them: every populated chunk a
+/// span-sized bitset.
+ChunkedTidList bitset_chunks(const TidList& tids, Tid universe) {
+  ChunkedTidList chunks;
+  chunks.assign(tids, universe, ChunkedTidList::ContainerRule::kBitsetOnly);
+  return chunks;
+}
+
 TEST(BitsetTidList, RoundTripAcrossWordBoundaries) {
   Rng rng(11);
   for (Tid universe : {1u, 63u, 64u, 65u, 127u, 128u, 1000u}) {
     for (double density : {0.0, 0.05, 0.5, 1.0}) {
       const TidList tids = random_list(rng, universe, density);
-      BitsetTidList bits;
-      bits.assign(tids, universe);
+      const ChunkedTidList bits = bitset_chunks(tids, universe);
       EXPECT_EQ(bits.count(), tids.size());
+      EXPECT_EQ(bits.histogram().array, 0u);
       EXPECT_EQ(bits.to_tidlist(), tids);
       for (Tid t = 0; t < universe; ++t) {
         EXPECT_EQ(bits.test(t),
@@ -204,35 +214,41 @@ TEST(BitsetTidList, AndMatchesSparseIntersect) {
   for (int trial = 0; trial < 60; ++trial) {
     const TidList a = random_list(rng, kUniverse, 0.3);
     const TidList b = random_list(rng, kUniverse, 0.3);
-    BitsetTidList ba, bb, result;
-    ba.assign(a, kUniverse);
-    bb.assign(b, kUniverse);
-    result.assign_and(ba, bb);
+    const ChunkedTidList ba = bitset_chunks(a, kUniverse);
+    const ChunkedTidList bb = bitset_chunks(b, kUniverse);
+    ChunkedTidList result;
+    EXPECT_TRUE(result.assign_and_bounded(ba, bb, 0, nullptr));
     EXPECT_EQ(result.to_tidlist(), intersect(a, b));
+    EXPECT_EQ(result.histogram().array, 0u);
   }
 }
 
 TEST(BitsetTidList, BoundedAndAbortsExactlyWhenInfrequent) {
   Rng rng(33);
-  constexpr Tid kUniverse = 512;
-  for (int trial = 0; trial < 60; ++trial) {
-    const TidList a = random_list(rng, kUniverse, 0.2);
-    const TidList b = random_list(rng, kUniverse, 0.2);
-    const TidList exact = intersect(a, b);
-    BitsetTidList ba, bb;
-    ba.assign(a, kUniverse);
-    bb.assign(b, kUniverse);
-    for (Count minsup : {1u, 4u, 16u, 64u, 512u}) {
-      BitsetTidList result;
-      const bool ok = result.assign_and_bounded(ba, bb, minsup, nullptr);
-      EXPECT_EQ(ok, exact.size() >= minsup);
-      if (ok) {
-        EXPECT_EQ(result.to_tidlist(), exact);
-      }
-      const auto count = BitsetTidList::and_count(ba, bb, minsup, nullptr);
-      EXPECT_EQ(count.has_value(), exact.size() >= minsup);
-      if (count) {
-        EXPECT_EQ(*count, exact.size());
+  // 512 tids is one 8-word chunk; 20 000 is one 313-word chunk, where the
+  // bound is also checked between 64-word blocks.
+  for (Tid universe : {512u, 20000u}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      const TidList a = random_list(rng, universe, 0.2);
+      const TidList b = random_list(rng, universe, 0.2);
+      const TidList exact = intersect(a, b);
+      const ChunkedTidList ba = bitset_chunks(a, universe);
+      const ChunkedTidList bb = bitset_chunks(b, universe);
+      for (Count minsup :
+           {Count{1}, Count{4}, Count{16}, Count{64}, Count{512},
+            static_cast<Count>(exact.size()),
+            static_cast<Count>(exact.size() + 1)}) {
+        ChunkedTidList result;
+        const bool ok = result.assign_and_bounded(ba, bb, minsup, nullptr);
+        EXPECT_EQ(ok, exact.size() >= minsup);
+        if (ok) {
+          EXPECT_EQ(result.to_tidlist(), exact);
+        }
+        const auto count = ChunkedTidList::and_count(ba, bb, minsup, nullptr);
+        EXPECT_EQ(count.has_value(), exact.size() >= minsup);
+        if (count) {
+          EXPECT_EQ(*count, exact.size());
+        }
       }
     }
   }
@@ -245,18 +261,17 @@ TEST(BitsetTidList, AndNotAndMinusSparseMatchDifference) {
     const TidList a = random_list(rng, kUniverse, 0.4);
     const TidList b = random_list(rng, kUniverse, 0.4);
     const TidList exact = difference(a, b);
-    BitsetTidList ba, bb;
-    ba.assign(a, kUniverse);
-    bb.assign(b, kUniverse);
+    const ChunkedTidList ba = bitset_chunks(a, kUniverse);
+    const ChunkedTidList bb = bitset_chunks(b, kUniverse);
     for (std::size_t budget : {std::size_t{0}, std::size_t{10},
                                std::size_t{kUniverse}}) {
-      BitsetTidList andnot;
+      ChunkedTidList andnot;
       const bool ok = andnot.assign_andnot_bounded(ba, bb, budget, nullptr);
       EXPECT_EQ(ok, exact.size() <= budget);
       if (ok) {
         EXPECT_EQ(andnot.to_tidlist(), exact);
       }
-      BitsetTidList minus;
+      ChunkedTidList minus;
       const bool ok2 = minus.assign_minus_sparse(ba, b, budget, nullptr);
       EXPECT_EQ(ok2, exact.size() <= budget);
       if (ok2) {
@@ -267,33 +282,57 @@ TEST(BitsetTidList, AndNotAndMinusSparseMatchDifference) {
 }
 
 TEST(TidSet, PrefersDenseAtTheDocumentedThreshold) {
-  // Dense iff size * 128 >= universe; the boundary itself goes dense.
-  EXPECT_EQ(TidSet::preferred_rep(0, 128), TidRep::kSparse);  // empty
-  EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kDense);
-  EXPECT_EQ(TidSet::preferred_rep(10, 1280), TidRep::kDense);
-  EXPECT_NE(TidSet::preferred_rep(9, 1280), TidRep::kDense);
-  EXPECT_EQ(TidSet::preferred_rep(10, 1279), TidRep::kDense);
+  // A chunk is a bitset iff size * 128 >= its span; the boundary itself
+  // goes bitset. The span is the part of the universe the chunk covers.
+  const auto containers = [](Tid first, std::size_t size, Tid universe) {
+    TidList tids(size);
+    for (std::size_t i = 0; i < size; ++i) tids[i] = first + Tid(i);
+    ChunkedTidList chunks;
+    chunks.assign(tids, universe);
+    return chunks.histogram();
+  };
+  const auto is_bitset = [](ChunkedTidList::ContainerHistogram h) {
+    return h.bitset == 1 && h.array == 0;
+  };
+  const auto is_array = [](ChunkedTidList::ContainerHistogram h) {
+    return h.bitset == 0 && h.array == 1;
+  };
+  const ChunkedTidList::ContainerHistogram empty = containers(0, 0, 128);
+  EXPECT_EQ(empty.bitset + empty.array, 0u);  // empty: no chunk at all
+  EXPECT_TRUE(is_bitset(containers(0, 1, 128)));
+  EXPECT_TRUE(is_bitset(containers(0, 10, 1280)));
+  EXPECT_TRUE(is_array(containers(0, 9, 1280)));
+  EXPECT_TRUE(is_bitset(containers(0, 10, 1279)));
+  // A full chunk spans 2^16 tids: bitset from 512.
+  EXPECT_TRUE(is_bitset(containers(0, 512, 1u << 17)));
+  EXPECT_TRUE(is_array(containers(0, 511, 1u << 17)));
+  // The partial last chunk of a 65 536 + 1280 universe spans 1280 tids.
+  EXPECT_TRUE(is_bitset(containers(65536, 10, 65536 + 1280)));
+  EXPECT_TRUE(is_array(containers(65536, 9, 65536 + 1280)));
 }
 
 TEST(TidSet, SeedRepresentationFollowsKernel) {
-  const TidList tids = {0, 10, 20, 30};  // density 4/640 — under threshold
+  const TidList tids = {0, 10, 20, 30};  // chunk density 4/640 < 1/128
   constexpr Tid kUniverse = 640;
   for (IntersectKernel kernel :
        {IntersectKernel::kMerge, IntersectKernel::kMergeShortCircuit,
         IntersectKernel::kGallop}) {
     TidSet set;
     seed_tidset(tids, kUniverse, kernel, set, nullptr);
-    EXPECT_FALSE(set.dense()) << kernel_name(kernel);
+    EXPECT_EQ(set.rep(), TidRep::kSparse) << kernel_name(kernel);
   }
   TidSet forced;
   seed_tidset(tids, kUniverse, IntersectKernel::kBitset, forced, nullptr);
-  EXPECT_TRUE(forced.dense());
+  ASSERT_EQ(forced.rep(), TidRep::kChunked);
+  EXPECT_EQ(forced.chunks().histogram().bitset, 1u);  // bitsets only
   TidSet adaptive;
   seed_tidset(tids, kUniverse, IntersectKernel::kAuto, adaptive, nullptr);
-  EXPECT_FALSE(adaptive.dense());  // 4·128 < 640
+  ASSERT_EQ(adaptive.rep(), TidRep::kChunked);  // 4·1024 >= 640
+  EXPECT_EQ(adaptive.chunks().histogram().array, 1u);  // 4·128 < 640
   TidSet adaptive_dense;
   seed_tidset(tids, 256, IntersectKernel::kAuto, adaptive_dense, nullptr);
-  EXPECT_TRUE(adaptive_dense.dense());  // 4·128 >= 256
+  ASSERT_EQ(adaptive_dense.rep(), TidRep::kChunked);
+  EXPECT_EQ(adaptive_dense.chunks().histogram().bitset, 1u);  // 4·128 >= 256
   EXPECT_EQ(adaptive_dense.to_tidlist(), tids);
 }
 
@@ -409,7 +448,8 @@ TEST(TidSet, StatsCountElementsActuallyVisited) {
 }
 
 TEST(TidSet, StatsCountWordsActuallyScanned) {
-  // Dense kernel over universe 256 = 4 words; a full AND scans exactly 4.
+  // Bitset kernel over universe 256 = one 4-word chunk; a full AND scans
+  // exactly 4.
   TidList a, b;
   for (Tid t = 0; t < 256; t += 2) a.push_back(t);
   for (Tid t = 0; t < 256; t += 4) b.push_back(t);
@@ -422,6 +462,29 @@ TEST(TidSet, StatsCountWordsActuallyScanned) {
                              &stats));
   EXPECT_EQ(stats.words_scanned, 4u);
   EXPECT_EQ(out.support(), 64u);
+
+  // One 313-word chunk over 20 000 tids: evens vs odds below 16 384, all
+  // tids above. Each side holds 11 808 tids, the meet only the 3 616 in
+  // the last 57 words, so minsup 5000 passes the up-front bound and the
+  // block check aborts after the fourth 64-word block: 0 + 64 · 57 < 5000.
+  constexpr Tid kWide = 20000;
+  TidList evens, odds;
+  for (Tid t = 0; t < kWide; ++t) {
+    if (t >= 16384 || t % 2 == 0) evens.push_back(t);
+    if (t >= 16384 || t % 2 == 1) odds.push_back(t);
+  }
+  TidSet se, so, meet;
+  seed_tidset(evens, kWide, IntersectKernel::kBitset, se, nullptr);
+  seed_tidset(odds, kWide, IntersectKernel::kBitset, so, nullptr);
+  IntersectStats abort_stats;
+  EXPECT_FALSE(intersect_into(se, so, 5000, IntersectKernel::kBitset, kWide,
+                              meet, &abort_stats));
+  EXPECT_EQ(abort_stats.words_scanned, 256u);
+  EXPECT_EQ(abort_stats.short_circuited, 1u);
+  EXPECT_FALSE(
+      intersect_support(se, so, 5000, IntersectKernel::kBitset, &abort_stats)
+          .has_value());
+  EXPECT_EQ(abort_stats.words_scanned, 512u);
 }
 
 TEST(TidSet, KernelNamesRoundTrip) {
@@ -438,6 +501,37 @@ TEST(TidSet, KernelNamesRoundTrip) {
 
 /// Universe spanning four 2^16-tid chunks.
 constexpr Tid kChunkUniverse = 1u << 18;
+
+/// An operand pair over its own universe.
+struct UniverseCase {
+  Tid universe;
+  TidList a;
+  TidList b;
+};
+
+/// Universes that span-sized chunks must handle: one partial word-tail
+/// chunk, one 313-word chunk, a full chunk plus a one-tid chunk, and four
+/// full chunks plus a 37-tid chunk.
+constexpr Tid kOddUniverses[] = {100, 20000, 65537, (1u << 18) + 37};
+
+/// Random pairs over each odd universe, one per density pair drawn from
+/// `densities`; every list ends at the universe's last tid.
+void add_odd_universe_cases(Rng& rng, std::initializer_list<double> densities,
+                            std::vector<UniverseCase>& cases) {
+  const auto ending_at_last = [&rng](Tid universe, double density) {
+    TidList tids = random_list(rng, universe - 1, density);
+    tids.push_back(universe - 1);
+    return tids;
+  };
+  for (const Tid universe : kOddUniverses) {
+    for (const double da : densities) {
+      for (const double db : densities) {
+        cases.push_back({universe, ending_at_last(universe, da),
+                         ending_at_last(universe, db)});
+      }
+    }
+  }
+}
 
 /// Adversarial single lists for the chunked container: chunk-boundary
 /// values, clustered spans, single-tid chunks, and a bitset-dense chunk.
@@ -476,22 +570,37 @@ TEST(ChunkedTidList, RoundTripOnAdversarialLists) {
     }
     EXPECT_FALSE(chunks.test(kChunkUniverse));  // out of range: never set
   }
+  // Partial last chunks, under both container rules.
+  Rng rng(77);
+  for (const Tid universe : kOddUniverses) {
+    TidList tids = random_list(rng, universe - 1, 0.01);
+    tids.push_back(universe - 1);
+    for (const auto rule : {ChunkedTidList::ContainerRule::kByDensity,
+                            ChunkedTidList::ContainerRule::kBitsetOnly}) {
+      ChunkedTidList chunks;
+      chunks.assign(tids, universe, rule);
+      EXPECT_EQ(chunks.to_tidlist(), tids) << universe;
+      EXPECT_TRUE(chunks.test(universe - 1)) << universe;
+      EXPECT_FALSE(chunks.test(universe)) << universe;
+    }
+  }
 }
 
 TEST(ChunkedTidList, HistogramReflectsContainerTypes) {
-  // A chunk's container depends on its cardinality alone: bitset at
-  // 1024 tids or more, array below, whether the tids are scattered or
-  // consecutive. One chunk per case:
+  // An assigned chunk's container depends on its cardinality and span:
+  // bitset at span/128 tids or more (512 for a full 2^16-tid chunk),
+  // array below, whether the tids are scattered or consecutive. One chunk
+  // per case:
   //   chunk 0: 2000 scattered tids    → bitset
-  //   chunk 1: 512 consecutive tids   → array
+  //   chunk 1: 511 consecutive tids   → array
   //   chunk 2: 2 tids                 → array
-  //   chunk 3: 1500 consecutive tids  → bitset
+  //   chunk 3: 512 consecutive tids   → bitset
   TidList tids;
   for (Tid t = 0; t < 60000; t += 30) tids.push_back(t);
-  for (Tid t = 65536; t < 65536 + 512; ++t) tids.push_back(t);
+  for (Tid t = 65536; t < 65536 + 511; ++t) tids.push_back(t);
   tids.push_back(131072 + 5);
   tids.push_back(131072 + 99);
-  for (Tid t = 196608 + 100; t < 196608 + 1600; ++t) tids.push_back(t);
+  for (Tid t = 196608 + 100; t < 196608 + 612; ++t) tids.push_back(t);
   ChunkedTidList chunks;
   chunks.assign(tids, kChunkUniverse);
   const ChunkedTidList::ContainerHistogram hist = chunks.histogram();
@@ -502,43 +611,47 @@ TEST(ChunkedTidList, HistogramReflectsContainerTypes) {
 
 TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
   Rng rng(88);
-  std::vector<std::pair<TidList, TidList>> cases;
+  std::vector<UniverseCase> cases;
   const std::vector<TidList> adversarial = chunked_adversarial_lists();
   for (std::size_t i = 0; i < adversarial.size(); ++i) {
     for (std::size_t j = i; j < adversarial.size(); ++j) {
-      cases.emplace_back(adversarial[i], adversarial[j]);
+      cases.push_back({kChunkUniverse, adversarial[i], adversarial[j]});
     }
   }
   // Density grid across the array and bitset container regimes.
   for (double da : {0.001, 0.01, 0.05}) {
     for (double db : {0.001, 0.05}) {
-      cases.emplace_back(random_list(rng, kChunkUniverse, da),
-                         random_list(rng, kChunkUniverse, db));
+      cases.push_back({kChunkUniverse, random_list(rng, kChunkUniverse, da),
+                       random_list(rng, kChunkUniverse, db)});
     }
   }
-  for (const auto& [a, b] : cases) {
+  add_odd_universe_cases(rng, {0.005, 0.05}, cases);
+  for (const auto& [universe, a, b] : cases) {
     const TidList exact = intersect(a, b);
     for (IntersectKernel kernel :
-         {IntersectKernel::kChunked, IntersectKernel::kAuto}) {
+         {IntersectKernel::kBitset, IntersectKernel::kChunked,
+          IntersectKernel::kAuto}) {
       // Bounded-abort exactness: the short-circuit decision must match
       // the exact result size for minsup below, at, and above it.
       for (const Count minsup :
            {Count{1}, std::max<Count>(1, exact.size()),
             static_cast<Count>(exact.size() + 1), Count{100000}}) {
         TidSet sa, sb, out;
-        seed_tidset(a, kChunkUniverse, kernel, sa, nullptr);
-        seed_tidset(b, kChunkUniverse, kernel, sb, nullptr);
-        const bool ok = intersect_into(sa, sb, minsup, kernel,
-                                       kChunkUniverse, out, nullptr);
+        seed_tidset(a, universe, kernel, sa, nullptr);
+        seed_tidset(b, universe, kernel, sb, nullptr);
+        const bool ok =
+            intersect_into(sa, sb, minsup, kernel, universe, out, nullptr);
         EXPECT_EQ(ok, exact.size() >= minsup)
-            << kernel_name(kernel) << " minsup=" << minsup;
+            << kernel_name(kernel) << " U=" << universe
+            << " minsup=" << minsup;
         if (ok) {
           EXPECT_EQ(out.to_tidlist(), exact) << kernel_name(kernel);
         }
         const std::optional<Count> support =
             intersect_support(sa, sb, minsup, kernel, nullptr);
         EXPECT_EQ(support.has_value(), exact.size() >= minsup)
-            << kernel_name(kernel) << " minsup=" << minsup;
+            << kernel_name(kernel) << " U=" << universe
+            << " minsup=" << minsup;
         if (support) {
           EXPECT_EQ(*support, exact.size()) << kernel_name(kernel);
         }
@@ -549,34 +662,37 @@ TEST(TidSet, ChunkedIntersectionAgreesOnMultiChunkInputs) {
 
 TEST(TidSet, ChunkedDifferenceAgreesOnMultiChunkInputs) {
   Rng rng(99);
-  std::vector<std::pair<TidList, TidList>> cases;
+  std::vector<UniverseCase> cases;
   const std::vector<TidList> adversarial = chunked_adversarial_lists();
   for (std::size_t i = 0; i < adversarial.size(); ++i) {
     for (std::size_t j = 0; j < adversarial.size(); ++j) {
-      cases.emplace_back(adversarial[i], adversarial[j]);
+      cases.push_back({kChunkUniverse, adversarial[i], adversarial[j]});
     }
   }
   for (double da : {0.001, 0.05}) {
     for (double db : {0.001, 0.05}) {
-      cases.emplace_back(random_list(rng, kChunkUniverse, da),
-                         random_list(rng, kChunkUniverse, db));
+      cases.push_back({kChunkUniverse, random_list(rng, kChunkUniverse, da),
+                       random_list(rng, kChunkUniverse, db)});
     }
   }
-  for (const auto& [a, b] : cases) {
+  add_odd_universe_cases(rng, {0.005, 0.05}, cases);
+  for (const auto& [universe, a, b] : cases) {
     const TidList exact = difference(a, b);
     for (IntersectKernel kernel :
-         {IntersectKernel::kChunked, IntersectKernel::kAuto}) {
+         {IntersectKernel::kBitset, IntersectKernel::kChunked,
+          IntersectKernel::kAuto}) {
       // Budgets straddling the exact size check the abort decision.
       for (const std::size_t budget :
            {std::size_t{0}, exact.size() > 0 ? exact.size() - 1 : 0,
             exact.size(), exact.size() + 100}) {
         TidSet sa, sb, out;
-        seed_tidset(a, kChunkUniverse, kernel, sa, nullptr);
-        seed_tidset(b, kChunkUniverse, kernel, sb, nullptr);
-        const bool ok = difference_into(sa, sb, budget, kernel,
-                                        kChunkUniverse, out, nullptr);
+        seed_tidset(a, universe, kernel, sa, nullptr);
+        seed_tidset(b, universe, kernel, sb, nullptr);
+        const bool ok =
+            difference_into(sa, sb, budget, kernel, universe, out, nullptr);
         EXPECT_EQ(ok, exact.size() <= budget)
-            << kernel_name(kernel) << " budget=" << budget;
+            << kernel_name(kernel) << " U=" << universe
+            << " budget=" << budget;
         if (ok) {
           EXPECT_EQ(out.to_tidlist(), exact) << kernel_name(kernel);
         }
@@ -637,73 +753,73 @@ TEST(TidSet, ScalarKernelsHonorForceOverride) {
 }
 
 TEST(TidSet, PreferredRepFollowsThresholds) {
-  // Dense at n·128 >= U, chunked at n·1024 >= U, sparse below, empty
-  // sparse.
+  // Chunked at n·1024 >= U, sparse below, empty sparse.
   EXPECT_EQ(TidSet::preferred_rep(0, 1024), TidRep::kSparse);
-  EXPECT_EQ(TidSet::preferred_rep(8, 1024), TidRep::kDense);
+  EXPECT_EQ(TidSet::preferred_rep(8, 1024), TidRep::kChunked);
   EXPECT_EQ(TidSet::preferred_rep(7, 1024), TidRep::kChunked);
   EXPECT_EQ(TidSet::preferred_rep(1, 1024), TidRep::kChunked);
   EXPECT_EQ(TidSet::preferred_rep(1, 1025), TidRep::kSparse);
-  EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kDense);
+  EXPECT_EQ(TidSet::preferred_rep(1, 128), TidRep::kChunked);
 }
 
 TEST(TidSet, NormalizeHoldsInsideTheStayBand) {
-  // 1000 tids over universe 64000: 1000·128 >= 64000 → dense.
+  // 1000 tids over universe 64000: 1000·1024 >= 64000 → chunked.
   constexpr Tid kUniverse = 64000;
   TidList big;
   for (Tid t = 0; t < 1000; ++t) big.push_back(t * 64);
   TidSet set;
   seed_tidset(big, kUniverse, IntersectKernel::kAuto, set, nullptr);
-  ASSERT_EQ(set.rep(), TidRep::kDense);
+  ASSERT_EQ(set.rep(), TidRep::kChunked);
 
-  // 250 tids: below the dense entry threshold (250·128 < 64000) but
-  // inside the stay band (250·1024 >= 64000) — normalize must hold dense.
+  // 50 tids: below the chunked entry threshold (50·1024 < 64000) but
+  // inside the stay band (50·8192 >= 64000) — normalize must hold chunked.
   IntersectStats stats;
-  TidList mid(big.begin(), big.begin() + 250);
-  set.assign_dense(mid, kUniverse);
-  set.normalize(kUniverse, &stats);
-  EXPECT_EQ(set.rep(), TidRep::kDense);
-  EXPECT_EQ(stats.sparsified, 0u);
-
-  // 50 tids: 50·1024 < 64000 — past the stay band, so it converts
-  // (50·8192 >= 64000 keeps it chunked rather than fully sparse).
-  TidList small(big.begin(), big.begin() + 50);
-  set.assign_dense(small, kUniverse);
+  TidList mid(big.begin(), big.begin() + 50);
+  set.assign_chunked(mid, kUniverse);
   set.normalize(kUniverse, &stats);
   EXPECT_EQ(set.rep(), TidRep::kChunked);
+  EXPECT_EQ(stats.sparsified, 0u);
+
+  // 5 tids: 5·8192 < 64000 — past the stay band, so it converts.
+  TidList small(big.begin(), big.begin() + 5);
+  set.assign_chunked(small, kUniverse);
+  set.normalize(kUniverse, &stats);
+  EXPECT_EQ(set.rep(), TidRep::kSparse);
   EXPECT_EQ(stats.sparsified, 1u);
   EXPECT_EQ(set.to_tidlist(), small);
 }
 
-
 // ---- One dispatcher: every representation pair, every operation ----
 
 /// How a test operand is built: directly in one representation, or
-/// demoted to chunked over the class universe from sparse or dense, the
-/// way the memory budget demotes one live set next to its siblings.
-enum class Form { kSparse, kChunked, kDense, kDemotedSparse, kDemotedDense };
+/// demoted to compact chunked containers over the class universe from
+/// sparse or chunked, the way the memory budget demotes one live set next
+/// to its siblings.
+enum class Form { kSparse, kChunked, kDemotedSparse, kDemotedChunked };
 
-constexpr Form kAllForms[] = {Form::kSparse, Form::kChunked, Form::kDense,
-                              Form::kDemotedSparse, Form::kDemotedDense};
+constexpr Form kAllForms[] = {Form::kSparse, Form::kChunked,
+                              Form::kDemotedSparse, Form::kDemotedChunked};
 
-TidSet build(Form form, const TidList& tids, Tid universe) {
+/// `tids` in `form`; a chunked form takes the containers `kernel` holds.
+TidSet build(Form form, const TidList& tids, Tid universe,
+             IntersectKernel kernel) {
   TidSet set;
   switch (form) {
     case Form::kSparse:
       set.assign_sparse(tids);
       break;
     case Form::kChunked:
-      set.assign_chunked(tids, universe);
-      break;
-    case Form::kDense:
-      set.assign_dense(tids, universe);
+      set.assign_chunked(tids, universe,
+                         kernel == IntersectKernel::kBitset
+                             ? ChunkedTidList::ContainerRule::kBitsetOnly
+                             : ChunkedTidList::ContainerRule::kByDensity);
       break;
     case Form::kDemotedSparse:
       set.assign_sparse(tids);
       EXPECT_TRUE(set.demote_to_chunked(universe));
       break;
-    case Form::kDemotedDense:
-      set.assign_dense(tids, universe);
+    case Form::kDemotedChunked:
+      set.assign_chunked(tids, universe);
       EXPECT_TRUE(set.demote_to_chunked(universe));
       break;
   }
@@ -711,11 +827,10 @@ TidSet build(Form form, const TidList& tids, Tid universe) {
 }
 
 /// True iff `kernel` runs on `rep`: a forced kernel holds every list in
-/// its own representation, kAuto mixes all three.
+/// its own representation, kAuto mixes both.
 bool kernel_runs_on(IntersectKernel kernel, TidRep rep) {
   switch (kernel) {
     case IntersectKernel::kBitset:
-      return rep == TidRep::kDense;
     case IntersectKernel::kChunked:
       return rep == TidRep::kChunked;
     case IntersectKernel::kAuto:
@@ -734,26 +849,29 @@ std::vector<std::size_t> around(std::size_t exact) {
 
 TEST(TidSet, EveryRepresentationPairAgreesWithTheReference) {
   Rng rng(909);
-  std::vector<std::pair<TidList, TidList>> cases;
-  cases.emplace_back(random_list(rng, kChunkUniverse, 0.01),
-                     random_list(rng, kChunkUniverse, 0.03));
+  std::vector<UniverseCase> cases;
+  cases.push_back({kChunkUniverse, random_list(rng, kChunkUniverse, 0.01),
+                   random_list(rng, kChunkUniverse, 0.03)});
   // 32x skew: the gallop arm of kAuto's sparse pairs.
-  cases.emplace_back(random_list(rng, kChunkUniverse, 0.0004),
-                     random_list(rng, kChunkUniverse, 0.2));
-  cases.emplace_back(TidList{}, random_list(rng, kChunkUniverse, 0.01));
-  for (const auto& [a, b] : cases) {
+  cases.push_back({kChunkUniverse, random_list(rng, kChunkUniverse, 0.0004),
+                   random_list(rng, kChunkUniverse, 0.2)});
+  cases.push_back(
+      {kChunkUniverse, TidList{}, random_list(rng, kChunkUniverse, 0.01)});
+  add_odd_universe_cases(rng, {0.01, 0.3}, cases);
+  for (const auto& [universe, a, b] : cases) {
     const TidList meet = intersect(a, b);
     const TidList minus = difference(a, b);
     for (IntersectKernel kernel : kAllKernels) {
       for (Form fa : kAllForms) {
         for (Form fb : kAllForms) {
-          const TidSet sa = build(fa, a, kChunkUniverse);
-          const TidSet sb = build(fb, b, kChunkUniverse);
+          const TidSet sa = build(fa, a, universe, kernel);
+          const TidSet sb = build(fb, b, universe, kernel);
           if (!kernel_runs_on(kernel, sa.rep()) ||
               !kernel_runs_on(kernel, sb.rep())) {
             continue;
           }
           const std::string where = std::string(kernel_name(kernel)) +
+                                    " U=" + std::to_string(universe) +
                                     " forms " +
                                     std::to_string(static_cast<int>(fa)) +
                                     "x" +
@@ -762,7 +880,7 @@ TEST(TidSet, EveryRepresentationPairAgreesWithTheReference) {
             TidSet out;
             const bool ok =
                 intersect_into(sa, sb, static_cast<Count>(minsup), kernel,
-                               kChunkUniverse, out, nullptr);
+                               universe, out, nullptr);
             EXPECT_EQ(ok, meet.size() >= minsup) << where << " " << minsup;
             if (ok) {
               EXPECT_EQ(out.to_tidlist(), meet) << where;
@@ -777,8 +895,8 @@ TEST(TidSet, EveryRepresentationPairAgreesWithTheReference) {
           }
           for (const std::size_t budget : around(minus.size())) {
             TidSet out;
-            const bool ok = difference_into(sa, sb, budget, kernel,
-                                            kChunkUniverse, out, nullptr);
+            const bool ok = difference_into(sa, sb, budget, kernel, universe,
+                                            out, nullptr);
             EXPECT_EQ(ok, minus.size() <= budget) << where << " " << budget;
             if (ok) {
               EXPECT_EQ(out.to_tidlist(), minus) << where;

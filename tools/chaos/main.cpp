@@ -12,10 +12,11 @@
 // ExecFaultPlans (injected throws, corrupt results, cooperative stalls)
 // on the native thread backend, rotating worker count and scheduler per
 // seed unless pinned with --exec-threads / --exec-scheduler (unpinned
-// thread counts also rotate the kernel between short-circuit and auto,
-// so a --exec-mem-budget sweep reaches both the fail-the-class and the
-// demotion rung of the budget ladder); "both" runs the two legs off the
-// same seeds and diffs their outcomes.
+// thread counts also rotate the kernel over short-circuit, auto, chunked
+// and bitset, so both tid-set representations and both chunk-container
+// rules run under faults, and a --exec-mem-budget sweep reaches both the
+// fail-the-class and the demotion rung of the budget ladder); "both"
+// runs the two legs off the same seeds and diffs their outcomes.
 //
 // Every run is checked against the harness contract: byte-identical output
 // to the fault-free reference, or a deterministic expected clean abort —
@@ -128,13 +129,17 @@ int main(int argc, char** argv) {
         exec::parse_scheduler(flags.get("exec-scheduler", "steal"));
   }
   // Unpinned sweeps rotate the execution shape per seed so one sweep
-  // covers threads 1..5 under both schedulers and both budget rungs.
+  // covers threads 1..5 under both schedulers, four kernels and both
+  // budget rungs. Seed bits 2 and 4 pick the kernel (bit 3 picks the
+  // scheduler), so every kernel meets both schedulers.
+  constexpr IntersectKernel kRotatedKernels[] = {
+      IntersectKernel::kMergeShortCircuit, IntersectKernel::kAuto,
+      IntersectKernel::kChunked, IntersectKernel::kBitset};
   const auto exec_options_for = [&](std::uint64_t seed) {
     chaos::ExecChaosOptions o = exec_base;
     o.threads = pinned_threads != 0 ? pinned_threads : 1 + seed % 5;
     if (pinned_threads == 0) {
-      o.kernel = (seed >> 2) % 2 == 0 ? IntersectKernel::kMergeShortCircuit
-                                      : IntersectKernel::kAuto;
+      o.kernel = kRotatedKernels[(seed >> 2) % 2 + 2 * ((seed >> 4) % 2)];
     }
     if (!pinned_scheduler) {
       o.scheduler = (seed >> 3) % 2 == 0 ? exec::ClassScheduler::kWorkStealing
